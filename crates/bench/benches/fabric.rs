@@ -182,8 +182,10 @@ fn repo_root() -> PathBuf {
 }
 
 fn render_json(outcomes: &[Outcome]) -> String {
-    let mut out = String::from(
-        "{\n  \"bench\": \"fabric\",\n  \"unit\": \"simulated_network_cycles_per_sec\",\n  \"scenarios\": [\n",
+    let mut out = format!(
+        "{{\n  \"bench\": \"fabric\",\n  \"unit\": \"simulated_network_cycles_per_sec\",\n  \
+         \"host_cores\": {},\n  \"scenarios\": [\n",
+        commloc_bench::host_cores()
     );
     for (i, o) in outcomes.iter().enumerate() {
         out.push_str(&format!(

@@ -100,7 +100,7 @@ fn main() {
     let cycles = env_usize("COMMLOC_SCALE_CYCLES", DEFAULT_CYCLES as usize) as u64;
     let smoke = radix != DEFAULT_RADIX;
     let nodes = radix * radix;
-    let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let host_cores = commloc_bench::host_cores();
 
     let config = SimConfig {
         dims: 2,

@@ -17,6 +17,12 @@ pub use commloc_sim::conformance::{
     ValidationRun, SUITE_SEED, WARMUP, WINDOW,
 };
 
+/// Hardware threads available to this process, recorded in every
+/// `BENCH_*.json` so a throughput figure can be read against its host.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
+
 /// Times `f` with a warmup pass and a fixed iteration loop, printing a
 /// mean per-iteration figure. The in-tree replacement for an external
 /// bench harness: the workspace builds without registry access, so the

@@ -36,13 +36,15 @@
 //!
 //! Messages in flight live in a generational slab: each flit carries its
 //! message's slot index, so hot-path lookups are array indexing (with the
-//! message id doubling as a generation check) instead of hashing. Switch
-//! allocation is gated by per-`(router, output, dateline-class)` request
-//! counters — maintained when routes are assigned and heads depart — so
-//! the expensive input-VC arbitration scan runs only when a routed head
-//! is actually waiting. All per-cycle buffers (credit returns, worklist
-//! snapshots) are reused scratch vectors: the steady-state hot path
-//! allocates nothing.
+//! message id doubling as a generation check) instead of hashing. Two
+//! per-router bitmasks over the input-VC list keep the dense hot path off
+//! the idle VCs: route computation visits only the VCs whose front is an
+//! unrouted head, and switch allocation finds the next round-robin
+//! requester for an output with a masked `trailing_zeros` search of a
+//! per-`(router, output, dateline-class)` requester mask instead of
+//! scanning every input VC. All per-cycle buffers (credit returns,
+//! worklist snapshots) are reused scratch vectors: the steady-state hot
+//! path allocates nothing.
 //!
 //! When the fabric is completely drained, [`Fabric::fast_forward`] jumps
 //! the clock over the idle gap in O(scheduled faults) instead of stepping
@@ -51,7 +53,7 @@
 use crate::active::ActiveSet;
 use crate::fault::{FaultLog, FaultPlan};
 use crate::message::{Delivery, Flit, FlitKind, Message, MessageId};
-use crate::router::{InputRef, OutputRef, INFINITE_CREDITS};
+use crate::router::{check_router_shape, InputRef, OutputRef, INFINITE_CREDITS};
 use crate::routing::{VcIndex, DATELINE_VCS};
 use crate::stats::{FabricStats, LatencyBreakdown};
 use crate::topology::{Direction, NodeId, PortStep, Topology, Torus};
@@ -200,6 +202,14 @@ pub struct Fabric<P> {
     base: usize,
     /// Number of nodes this fabric owns.
     owned: usize,
+    /// Link ports per router (`topology.ports()`, cached off the enum).
+    /// The injection input / ejection output is port `ports`.
+    ports: usize,
+    /// Virtual channels per node in the flattened VC arrays:
+    /// `ports * link_vcs + 1`.
+    vc_stride: usize,
+    /// `u64` words per input-VC bitmask: `vc_stride` bits, rounded up.
+    mask_words: usize,
     /// Router state, struct-of-arrays. Input and output virtual channels
     /// share the index function `node * vc_stride + port * link_vcs + vc`
     /// with `vc_stride = link_ports * link_vcs + 1`: the single-VC
@@ -209,17 +219,19 @@ pub struct Fabric<P> {
     /// Route of the message at each input VC's front, assigned when its
     /// head reaches the front and cleared when its tail departs.
     in_route: Vec<Option<OutputRef>>,
-    /// Cycle each input VC's front route was assigned (hop-block trace).
+    /// Cycle each input VC's front route was assigned (hop-block trace);
+    /// empty unless tracing.
     in_routed_at: Vec<u64>,
     /// Wormhole lock owner of each output VC.
     out_locked: Vec<Option<InputRef>>,
     /// Free downstream buffer slots of each output VC.
-    out_credits: Vec<usize>,
-    /// Round-robin input pointer of each output VC.
-    out_rr_input: Vec<usize>,
+    out_credits: Vec<u32>,
+    /// Round-robin input pointer of each output VC (an input-VC list
+    /// position).
+    out_rr_input: Vec<u32>,
     /// Round-robin VC pointer of each output physical channel, indexed
     /// `node * (link_ports + 1) + port`.
-    out_rr_vc: Vec<usize>,
+    out_rr_vc: Vec<u16>,
     /// Inter-router links, indexed `node * link_ports + port`; each holds
     /// at most one in-transit flit tagged with its virtual channel.
     links: Vec<Option<(Flit, VcIndex)>>,
@@ -246,8 +258,9 @@ pub struct Fabric<P> {
     /// machine-level active-node engine subscribes to.
     delivery_events: ActiveSet,
     /// Flattened (port, vc) enumeration shared by all routers, used for
-    /// round-robin allocation.
-    input_vc_list: Vec<(usize, usize)>,
+    /// round-robin allocation: position `j` is the node-local offset of
+    /// the VC in the flattened arrays and bit `j` of every input-VC mask.
+    input_vc_list: Vec<InputRef>,
     /// Downstream **global** node of each output link, indexed
     /// `node * link_ports + port` — precomputed so the hot path never
     /// re-derives topology coordinates. [`NO_LINK`] marks absent ports
@@ -272,10 +285,16 @@ pub struct Fabric<P> {
     /// Network interfaces with queued or streaming messages — the only
     /// ones phase 5 visits.
     active_nis: ActiveSet,
-    /// Count of routed head flits waiting per
-    /// `(node, output port, dateline class)`: switch allocation scans for
-    /// a requester only when nonzero.
-    requests: Vec<u32>,
+    /// Input VCs whose front is a head not yet routed, one
+    /// `mask_words`-word bitmask per node. Bits are set when a head
+    /// becomes a buffer front (pushed into an empty buffer, or left
+    /// behind by a departing tail) and cleared by route computation.
+    unrouted: Vec<u64>,
+    /// Input VCs whose routed head waits at the front for
+    /// `(node, output port, dateline class)`, one `mask_words`-word
+    /// bitmask each ([`Fabric::req_mask`]). Set at route assignment,
+    /// cleared when the head departs.
+    requesters: Vec<u64>,
     /// Scratch: snapshot of an [`ActiveSet`] for iteration.
     node_scratch: Vec<u32>,
     /// Scratch: last cycle's occupied-link worklist being drained.
@@ -373,21 +392,24 @@ impl<P> Fabric<P> {
             "shard range exceeds the topology"
         );
         let link_ports = topology.ports();
+        let link_credits =
+            check_router_shape(link_ports, config.link_vcs, config.vc_buffer_capacity);
         let vc_stride = link_ports * config.link_vcs + 1;
+        let mask_words = vc_stride.div_ceil(64);
         let mut out_credits = Vec::with_capacity(owned * vc_stride);
         for _ in 0..owned {
             for _ in 0..link_ports * config.link_vcs {
-                out_credits.push(config.vc_buffer_capacity);
+                out_credits.push(link_credits);
             }
             out_credits.push(INFINITE_CREDITS); // ejection pseudo-channel
         }
-        let mut input_vc_list = Vec::new();
+        let mut input_vc_list = Vec::with_capacity(vc_stride);
         for port in 0..link_ports {
             for vc in 0..config.link_vcs {
-                input_vc_list.push((port, vc));
+                input_vc_list.push(InputRef::new(port, vc));
             }
         }
-        input_vc_list.push((link_ports, 0)); // injection input
+        input_vc_list.push(InputRef::new(link_ports, 0)); // injection input
         let mut neighbors = Vec::with_capacity(owned * link_ports);
         let mut link_in_ports = Vec::with_capacity(owned * link_ports);
         let mut upstream = Vec::with_capacity(owned * link_ports);
@@ -418,14 +440,18 @@ impl<P> Fabric<P> {
             }
         }
         let stats = FabricStats::new(owned, link_ports);
+        let tracing = config.trace_capacity > 0;
         Self {
             topology,
             config,
             base,
             owned,
+            ports: link_ports,
+            vc_stride,
+            mask_words,
             in_fifo: (0..owned * vc_stride).map(|_| VecDeque::new()).collect(),
             in_route: vec![None; owned * vc_stride],
-            in_routed_at: vec![0; owned * vc_stride],
+            in_routed_at: vec![0; if tracing { owned * vc_stride } else { 0 }],
             out_locked: vec![None; owned * vc_stride],
             out_credits,
             out_rr_input: vec![0; owned * vc_stride],
@@ -449,7 +475,8 @@ impl<P> Fabric<P> {
             occupancy: vec![0; owned],
             active_routers: ActiveSet::new(owned),
             active_nis: ActiveSet::new(owned),
-            requests: vec![0; owned * (link_ports + 1) * DATELINE_VCS],
+            unrouted: vec![0; owned * mask_words],
+            requesters: vec![0; owned * (link_ports + 1) * DATELINE_VCS * mask_words],
             node_scratch: Vec::new(),
             link_scratch: Vec::new(),
             inj_scratch: Vec::new(),
@@ -458,7 +485,7 @@ impl<P> Fabric<P> {
             cycle: 0,
             stats,
             breakdown: LatencyBreakdown::default(),
-            trace: (config.trace_capacity > 0).then(|| TraceBuffer::new(config.trace_capacity)),
+            trace: tracing.then(|| TraceBuffer::new(config.trace_capacity)),
             fault: None,
             activity: 0,
             buffered: 0,
@@ -818,33 +845,19 @@ impl<P> Fabric<P> {
             && self.remap.is_empty()
     }
 
-    fn link_ports(&self) -> usize {
-        self.topology.ports()
-    }
-
-    /// Index of the injection input / ejection output port.
-    fn local_port(&self) -> usize {
-        self.topology.ports()
-    }
-
-    /// Virtual channels per node in the flattened VC arrays.
-    fn vc_stride(&self) -> usize {
-        self.link_ports() * self.config.link_vcs + 1
-    }
-
     /// Index of `(local node, port, vc)` in the flattened VC arrays.
-    /// The injection/ejection port (`port == link_ports`, `vc == 0`)
-    /// lands on the trailing slot of the node's block.
+    /// The injection/ejection port (`port == ports`, `vc == 0`) lands on
+    /// the trailing slot of the node's block.
     #[inline]
     fn vc_idx(&self, node: usize, port: usize, vc: usize) -> usize {
-        node * self.vc_stride() + port * self.config.link_vcs + vc
+        node * self.vc_stride + port * self.config.link_vcs + vc
     }
 
     /// Virtual channels on a port: `link_vcs` for link ports, one for the
     /// injection/ejection port.
     #[inline]
     fn port_vcs(&self, port: usize) -> usize {
-        if port == self.link_ports() {
+        if port == self.ports {
             1
         } else {
             self.config.link_vcs
@@ -857,16 +870,37 @@ impl<P> Fabric<P> {
         global >= self.base && global < self.base + self.owned
     }
 
-    /// Index into `requests` for `(local node, output port, dateline
-    /// class)`.
-    fn req_index(&self, node: usize, output: usize, class: usize) -> usize {
-        (node * (self.link_ports() + 1) + output) * DATELINE_VCS + class
+    /// Start of the requester mask for `(local node, output port,
+    /// dateline class)` in `requesters`.
+    #[inline]
+    fn req_mask(&self, node: usize, output: usize, class: usize) -> usize {
+        ((node * (self.ports + 1) + output) * DATELINE_VCS + class) * self.mask_words
+    }
+
+    /// Pushes `flit` onto input VC `idx` (flattened) of local router
+    /// `node`. A head landing in an empty buffer is now a front awaiting
+    /// its route. (An empty buffer never holds a route: the previous
+    /// message's tail cleared it on departure.)
+    #[inline]
+    fn push_input(&mut self, node: usize, idx: usize, flit: Flit) {
+        let fifo = &mut self.in_fifo[idx];
+        if fifo.is_empty() && flit.kind.is_head() {
+            debug_assert!(self.in_route[idx].is_none(), "empty buffer kept a route");
+            set_bit(
+                &mut self.unrouted[node * self.mask_words..],
+                idx - node * self.vc_stride,
+            );
+        }
+        fifo.push_back(flit);
+        self.occupancy[node] += 1;
+        self.buffered += 1;
+        self.active_routers.insert(node);
     }
 
     /// Phase 1: flits in transit arrive in downstream input buffers.
     /// Visits only the links and injection channels that carry a flit.
     fn deliver_links(&mut self) {
-        let local = self.local_port();
+        let local = self.ports;
         mem::swap(&mut self.link_occupied, &mut self.link_scratch);
         for i in 0..self.link_scratch.len() {
             let li = self.link_scratch[i] as usize;
@@ -883,7 +917,6 @@ impl<P> Fabric<P> {
                 self.in_fifo[idx].len() < self.config.vc_buffer_capacity,
                 "credit protocol violated"
             );
-            self.in_fifo[idx].push_back(flit);
             // Stamp the head's arrival at its destination router — the
             // boundary between in-network (hop) time and ejection wait in
             // the latency breakdown. One slab lookup per head per hop.
@@ -894,9 +927,7 @@ impl<P> Fabric<P> {
                     }
                 }
             }
-            self.occupancy[node] += 1;
-            self.buffered += 1;
-            self.active_routers.insert(node);
+            self.push_input(node, idx, flit);
         }
         self.link_scratch.clear();
         mem::swap(&mut self.inj_occupied, &mut self.inj_scratch);
@@ -910,58 +941,60 @@ impl<P> Fabric<P> {
                 self.in_fifo[idx].len() < self.config.injection_buffer_capacity,
                 "injection credit protocol violated"
             );
-            self.in_fifo[idx].push_back(flit);
-            self.occupancy[node] += 1;
-            self.buffered += 1;
-            self.active_routers.insert(node);
+            self.push_input(node, idx, flit);
         }
         self.inj_scratch.clear();
     }
 
     /// Phase 2: assign routes to head flits now at buffer fronts, and
-    /// count each new assignment as a pending switch request.
+    /// post each new assignment in its output's requester mask. Only the
+    /// VCs flagged in the node's unrouted mask are visited; walking its
+    /// set bits in ascending order is the reference engine's port-major,
+    /// injection-last scan order.
     fn compute_routes(&mut self, active: &[u32]) -> Result<(), FabricError> {
-        let local = self.local_port();
-        let stride = self.vc_stride();
+        let (local, stride, words) = (self.ports, self.vc_stride, self.mask_words);
         for &n in active {
             let node = n as usize;
             let global = NodeId(self.base + node);
-            // Walking the node's flattened VC block visits (port, vc) in
-            // exactly the old port-major, injection-last order.
-            for idx in node * stride..(node + 1) * stride {
-                if self.in_route[idx].is_some() {
-                    continue;
+            for w in 0..words {
+                let mut bits = mem::take(&mut self.unrouted[node * words + w]);
+                while bits != 0 {
+                    let j = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let idx = node * stride + j;
+                    let front = self.in_fifo[idx].front();
+                    debug_assert!(
+                        self.in_route[idx].is_none() && front.is_some_and(|f| f.kind.is_head()),
+                        "unrouted mask out of sync"
+                    );
+                    let Some(&front) = front else {
+                        continue;
+                    };
+                    let message = front.message;
+                    let pending = self
+                        .slots
+                        .get(front.slot as usize)
+                        .and_then(Option::as_ref)
+                        .filter(|p| p.id == message.0)
+                        .ok_or(FabricError::UnknownMessage {
+                            message,
+                            context: "route computation",
+                            cycle: self.cycle,
+                        })?;
+                    let (src, dst) = (pending.message.src, pending.message.dst);
+                    let output = match self.topology.route_hop(src, dst, global) {
+                        PortStep::Eject => OutputRef::new(local, 0),
+                        PortStep::Forward { port, vc } => OutputRef::new(port, vc),
+                    };
+                    self.in_route[idx] = Some(output);
+                    if self.trace.is_some() {
+                        self.in_routed_at[idx] = self.cycle;
+                    }
+                    // `output.vc` is the dateline class here, matching the
+                    // clear when this head is forwarded.
+                    let m = self.req_mask(node, output.port(), output.vc());
+                    set_bit(&mut self.requesters[m..], j);
                 }
-                let Some(front) = self.in_fifo[idx].front() else {
-                    continue;
-                };
-                if !front.kind.is_head() {
-                    continue;
-                }
-                let message = front.message;
-                let slot = front.slot as usize;
-                let pending = self
-                    .slots
-                    .get(slot)
-                    .and_then(Option::as_ref)
-                    .filter(|p| p.id == message.0)
-                    .ok_or(FabricError::UnknownMessage {
-                        message,
-                        context: "route computation",
-                        cycle: self.cycle,
-                    })?;
-                let (src, dst) = (pending.message.src, pending.message.dst);
-                let step = self.topology.route_hop(src, dst, global);
-                let output = match step {
-                    PortStep::Eject => OutputRef { port: local, vc: 0 },
-                    PortStep::Forward { port, vc } => OutputRef { port, vc },
-                };
-                self.in_route[idx] = Some(output);
-                self.in_routed_at[idx] = self.cycle;
-                // `output.vc` is the dateline class here, matching the
-                // decrement when this head is forwarded.
-                let ridx = self.req_index(node, output.port, output.vc);
-                self.requests[ridx] += 1;
             }
         }
         Ok(())
@@ -977,7 +1010,7 @@ impl<P> Fabric<P> {
     /// nothing; their traffic waits in input buffers and backpressure
     /// propagates upstream through the ordinary credit mechanism.
     fn switch_traversal(&mut self, active: &[u32]) -> Result<(), FabricError> {
-        let link_ports = self.link_ports();
+        let link_ports = self.ports;
         let output_count = link_ports + 1;
         for &n in active {
             let node = n as usize;
@@ -1010,78 +1043,53 @@ impl<P> Fabric<P> {
     /// unlocked. Returns the chosen input and output VC.
     fn pick_sender(&mut self, node: usize, output: usize) -> Option<(InputRef, VcIndex)> {
         let vc_count = self.port_vcs(output);
-        let rr = node * (self.link_ports() + 1) + output;
-        for i in 0..vc_count {
-            let w = (self.out_rr_vc[rr] + i) % vc_count;
+        let rr = node * (self.ports + 1) + output;
+        let mut w = usize::from(self.out_rr_vc[rr]);
+        for _ in 0..vc_count {
             let ovc = self.vc_idx(node, output, w);
-            if self.out_credits[ovc] == 0 {
-                continue;
-            }
-            if let Some(input) = self.out_locked[ovc] {
-                // Continue the wormhole if the next flit has arrived.
-                let buf = self.vc_idx(node, input.port, input.vc);
-                if self.in_fifo[buf].front().is_some() {
-                    self.out_rr_vc[rr] = (w + 1) % vc_count;
-                    return Some((input, w));
-                }
-            } else {
-                // The arbitration scan succeeds iff a routed head waits
-                // for this (output, class) — exactly when the request
-                // counter is nonzero, so the scan is skipped otherwise.
-                let class = self.vc_class(output, w);
-                if self.requests[self.req_index(node, output, class)] == 0 {
-                    continue;
-                }
-                if let Some(input) = self.find_requester(node, output, w) {
+            let next = if w + 1 == vc_count { 0 } else { w + 1 };
+            if self.out_credits[ovc] > 0 {
+                if let Some(input) = self.out_locked[ovc] {
+                    // Continue the wormhole if the next flit has arrived.
+                    let buf = self.vc_idx(node, input.port(), input.vc());
+                    if !self.in_fifo[buf].is_empty() {
+                        self.out_rr_vc[rr] = next as u16;
+                        return Some((input, w));
+                    }
+                } else if let Some(input) = self.find_requester(node, output, w) {
                     // Allocate this output VC to a new message and forward
                     // its head immediately.
                     self.out_locked[ovc] = Some(input);
-                    self.out_rr_vc[rr] = (w + 1) % vc_count;
+                    self.out_rr_vc[rr] = next as u16;
                     return Some((input, w));
                 }
             }
+            w = next;
         }
         None
     }
 
-    /// Round-robin search for an input VC whose routed message requests
-    /// output VC `(output, w)` and whose head flit is at the front.
+    /// Round-robin choice of an input VC whose routed head waits at its
+    /// front for output VC `(output, w)`: the first requester-mask bit at
+    /// or after the VC's round-robin pointer, wrapping — the input the
+    /// reference engine's linear scan from that pointer reaches first.
     fn find_requester(&mut self, node: usize, output: usize, w: VcIndex) -> Option<InputRef> {
-        let list_len = self.input_vc_list.len();
         let ovc = self.vc_idx(node, output, w);
-        let start = self.out_rr_input[ovc];
         // `route.vc` is the dateline class; output VC `w` serves it if it
         // falls in that class's half of the channel set.
-        let class = self.vc_class(output, w);
-        for i in 0..list_len {
-            let idx = (start + i) % list_len;
-            let (port, vc) = self.input_vc_list[idx];
-            let buf = self.vc_idx(node, port, vc);
-            let Some(route) = self.in_route[buf] else {
-                continue;
-            };
-            if route.port != output || class != route.vc {
-                continue;
-            }
-            let Some(front) = self.in_fifo[buf].front() else {
-                continue;
-            };
-            if !front.kind.is_head() {
-                // A body/tail flit at the front means this VC's message is
-                // already locked somewhere; not a new request.
-                continue;
-            }
-            self.out_rr_input[ovc] = (idx + 1) % list_len;
-            return Some(InputRef { port, vc });
-        }
-        None
+        let m = self.req_mask(node, output, self.vc_class(output, w));
+        let mask = &self.requesters[m..m + self.mask_words];
+        let j = first_set_from(mask, self.out_rr_input[ovc] as usize)?;
+        let next = if j + 1 == self.vc_stride { 0 } else { j + 1 };
+        self.out_rr_input[ovc] = next as u32;
+        Some(self.input_vc_list[j])
     }
 
     /// The dateline class an output VC serves: lower half of a link's VCs
     /// is class 0, upper half class 1. Local (ejection) ports have a
     /// single class-0 VC.
     fn vc_class(&self, output: usize, w: VcIndex) -> usize {
-        if output == self.local_port() || w < self.config.link_vcs / DATELINE_VCS {
+        if output == self.ports || w < self.config.link_vcs / DATELINE_VCS {
             0
         } else {
             1
@@ -1098,37 +1106,39 @@ impl<P> Fabric<P> {
         out_vc: VcIndex,
         input: InputRef,
     ) -> Result<(), FabricError> {
-        let local = self.local_port();
+        let local = self.ports;
         let global = self.base + node;
-        let (flit, route_class, routed_at) = {
-            let buf = self.vc_idx(node, input.port, input.vc);
-            let route_class = self.in_route[buf].map_or(0, |r| r.vc);
-            let routed_at = self.in_routed_at[buf];
-            let flit = self.in_fifo[buf]
-                .pop_front()
-                .ok_or(FabricError::MissingFlit {
-                    node: NodeId(global),
-                    cycle: self.cycle,
-                })?;
-            if flit.kind.is_tail() {
-                self.in_route[buf] = None;
+        let buf = self.vc_idx(node, input.port(), input.vc());
+        let route_class = self.in_route[buf].map_or(0, OutputRef::vc);
+        let flit = self.in_fifo[buf]
+            .pop_front()
+            .ok_or(FabricError::MissingFlit {
+                node: NodeId(global),
+                cycle: self.cycle,
+            })?;
+        let j = buf - node * self.vc_stride;
+        if flit.kind.is_tail() {
+            self.in_route[buf] = None;
+            // The next message's head, if already buffered, is now a
+            // front awaiting its route.
+            if self.in_fifo[buf].front().is_some_and(|f| f.kind.is_head()) {
+                set_bit(&mut self.unrouted[node * self.mask_words..], j);
             }
-            (flit, route_class, routed_at)
-        };
+        }
         self.occupancy[node] -= 1;
         self.buffered -= 1;
         if self.occupancy[node] == 0 {
             self.active_routers.remove(node);
         }
         if flit.kind.is_head() {
-            // A head departs only through its routed output: retire the
-            // request counted at route assignment.
-            let idx = self.req_index(node, output, route_class);
-            self.requests[idx] -= 1;
+            // A head departs only through its routed output: withdraw the
+            // request posted at route assignment.
+            let m = self.req_mask(node, output, route_class);
+            clear_bit(&mut self.requesters[m..], j);
             if let Some(trace) = self.trace.as_mut() {
                 // Routed in phase 2, forwardable in phase 3 of the same
                 // cycle: any later departure means it sat blocked.
-                let waited = self.cycle - routed_at;
+                let waited = self.cycle - self.in_routed_at[buf];
                 if waited > 0 {
                     trace.push(TraceEvent::HopBlock {
                         cycle: self.cycle,
@@ -1140,14 +1150,14 @@ impl<P> Fabric<P> {
             }
         }
         // Free the slot upstream.
-        if input.port == local {
+        if input.port() == local {
             self.credit_scratch.push(CreditReturn::Injection { node });
         } else {
             // The upstream router feeding input port `p`, and the output
             // port this link occupies there, come from the precomputed
             // upstream tables (on a torus: the neighbor behind the
             // opposite-direction port `p ^ 1`, at its own port `p`).
-            let ui = node * self.link_ports() + input.port;
+            let ui = node * self.ports + input.port();
             let upstream = self.upstream[ui] as usize;
             let up_port = self.upstream_ports[ui] as usize;
             debug_assert_ne!(self.upstream[ui], NO_LINK, "flit arrived on absent link");
@@ -1155,7 +1165,7 @@ impl<P> Fabric<P> {
                 self.credit_scratch.push(CreditReturn::Link {
                     node: upstream - self.base,
                     port: up_port,
-                    vc: input.vc,
+                    vc: input.vc(),
                 });
             } else {
                 // The freed slot belongs to an output VC in another
@@ -1167,7 +1177,7 @@ impl<P> Fabric<P> {
                     .push(BoundaryItem(BoundaryPayload::Credit {
                         node: upstream as u32,
                         port: up_port as u16,
-                        vc: input.vc as u16,
+                        vc: input.vc,
                     }));
             }
         }
@@ -1178,11 +1188,13 @@ impl<P> Fabric<P> {
         }
         // Fault rolls happen once per message per link crossing, on the
         // head flit, keyed by global node id so a given seed replays
-        // exactly — sharded or not.
+        // exactly — sharded or not. Only a plan can doom a message, so
+        // fault-free fabrics skip the slab read.
         let slot = flit.slot as usize;
-        let mut doomed_here = self.slots[slot].as_ref().is_some_and(|p| {
-            p.id == flit.message.0 && p.doomed == Some((global as u32, output as u32))
-        });
+        let mut doomed_here = self.fault.is_some()
+            && self.slots[slot].as_ref().is_some_and(|p| {
+                p.id == flit.message.0 && p.doomed == Some((global as u32, output as u32))
+            });
         if !doomed_here && output != local && flit.kind.is_head() {
             if let Some(plan) = self.fault.as_mut() {
                 if let Some(mask) = plan.roll_corrupt(self.cycle, global, output, flit.message) {
@@ -1240,7 +1252,7 @@ impl<P> Fabric<P> {
             let ovc = self.vc_idx(node, output, out_vc);
             debug_assert!(self.out_credits[ovc] > 0 && self.out_credits[ovc] != INFINITE_CREDITS);
             self.out_credits[ovc] -= 1;
-            let li = node * self.link_ports() + output;
+            let li = node * self.ports + output;
             self.stats.link_busy[li] += 1;
             self.stats.link_flits += 1;
             self.activity += 1;
@@ -1342,7 +1354,7 @@ impl<P> Fabric<P> {
     /// Phase 4: freed buffer slots become visible upstream. Drains the
     /// reusable credit scratch filled during switch traversal.
     fn apply_credit_returns(&mut self) {
-        let link_ports = self.link_ports();
+        let link_ports = self.ports;
         for i in 0..self.credit_scratch.len() {
             match self.credit_scratch[i] {
                 CreditReturn::Injection { node } => {
@@ -1353,7 +1365,7 @@ impl<P> Fabric<P> {
                     debug_assert!(port < link_ports);
                     let ovc = self.vc_idx(node, port, vc);
                     self.out_credits[ovc] += 1;
-                    debug_assert!(self.out_credits[ovc] <= self.config.vc_buffer_capacity);
+                    debug_assert!(self.out_credits[ovc] as usize <= self.config.vc_buffer_capacity);
                 }
             }
         }
@@ -1593,17 +1605,54 @@ impl<P> Fabric<P> {
                     self.in_fifo[idx].len() < self.config.vc_buffer_capacity,
                     "boundary credit protocol violated"
                 );
-                self.in_fifo[idx].push_back(flit);
-                self.occupancy[node] += 1;
-                self.buffered += 1;
-                self.active_routers.insert(node);
+                self.push_input(node, idx, flit);
             }
             BoundaryPayload::Credit { node, port, vc } => {
                 let local = node as usize - self.base;
                 let ovc = self.vc_idx(local, port as usize, vc as usize);
                 self.out_credits[ovc] += 1;
-                debug_assert!(self.out_credits[ovc] <= self.config.vc_buffer_capacity);
+                debug_assert!(self.out_credits[ovc] as usize <= self.config.vc_buffer_capacity);
             }
+        }
+    }
+}
+
+#[cfg(test)]
+impl<P> Fabric<P> {
+    /// Rebuilds the unrouted and requester masks from `in_route` and the
+    /// buffer fronts and asserts they match the incrementally maintained
+    /// ones. Valid between steps.
+    pub(crate) fn assert_masks_consistent(&self) {
+        let words = self.mask_words;
+        for node in 0..self.owned {
+            let mut unrouted = vec![0u64; words];
+            let mut requesters = vec![0u64; (self.ports + 1) * DATELINE_VCS * words];
+            for j in 0..self.vc_stride {
+                let idx = node * self.vc_stride + j;
+                if !self.in_fifo[idx].front().is_some_and(|f| f.kind.is_head()) {
+                    continue;
+                }
+                match self.in_route[idx] {
+                    None => set_bit(&mut unrouted, j),
+                    Some(route) => {
+                        let m = (route.port() * DATELINE_VCS + route.vc()) * words;
+                        set_bit(&mut requesters[m..], j);
+                    }
+                }
+            }
+            assert_eq!(
+                unrouted,
+                self.unrouted[node * words..(node + 1) * words],
+                "unrouted mask of node {node} at cycle {}",
+                self.cycle
+            );
+            let m = self.req_mask(node, 0, 0);
+            assert_eq!(
+                requesters,
+                self.requesters[m..m + requesters.len()],
+                "requester masks of node {node} at cycle {}",
+                self.cycle
+            );
         }
     }
 }
@@ -1657,6 +1706,37 @@ enum CreditReturn {
     },
 }
 
+/// Sets bit `j` of a multi-word bitmask.
+#[inline]
+fn set_bit(mask: &mut [u64], j: usize) {
+    mask[j / 64] |= 1 << (j % 64);
+}
+
+/// Clears bit `j` of a multi-word bitmask.
+#[inline]
+fn clear_bit(mask: &mut [u64], j: usize) {
+    mask[j / 64] &= !(1 << (j % 64));
+}
+
+/// The first set bit of `mask` at or after `start`, wrapping around to the
+/// lowest set bit: the cyclic order of a linear scan beginning at `start`.
+#[inline]
+fn first_set_from(mask: &[u64], start: usize) -> Option<usize> {
+    let (sw, sb) = (start / 64, start % 64);
+    let high = mask[sw] & (u64::MAX << sb);
+    if high != 0 {
+        return Some(sw * 64 + high.trailing_zeros() as usize);
+    }
+    // Later words, then wrap to the start of the mask; the starting word's
+    // bits at or above `start` are known clear, so revisiting it finds only
+    // the ones below.
+    let order = (sw + 1..mask.len()).chain(0..=sw);
+    order
+        .into_iter()
+        .find(|&w| mask[w] != 0)
+        .map(|w| w * 64 + mask[w].trailing_zeros() as usize)
+}
+
 /// Sentinel in the `neighbors`/`upstream` tables for an absent link.
 const NO_LINK: u32 = u32::MAX;
 
@@ -1685,6 +1765,61 @@ mod tests {
 
     fn fabric() -> Fabric<u32> {
         Fabric::new(Torus::new(2, 8), FabricConfig::default())
+    }
+
+    #[test]
+    fn first_set_from_matches_a_cyclic_scan() {
+        // Single- and multi-word masks, every start position: the search
+        // must return what a linear scan from `start`, modulo the list
+        // length, finds first.
+        for len in [9usize, 64, 73, 130] {
+            let words = len.div_ceil(64);
+            for pattern in 0..40u64 {
+                let mut mask = vec![0u64; words];
+                for j in 0..len {
+                    if (j as u64 * 2654435761 + pattern * 40503) % 7 < pattern % 4 {
+                        set_bit(&mut mask, j);
+                    }
+                }
+                for start in 0..len {
+                    let scan = (0..len)
+                        .map(|i| (start + i) % len)
+                        .find(|&j| mask[j / 64] >> (j % 64) & 1 == 1);
+                    assert_eq!(
+                        first_set_from(&mask, start),
+                        scan,
+                        "len {len} start {start}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn masks_track_buffer_fronts_under_dense_load() {
+        // Saturating all-to-all traffic with short and long worms keeps
+        // heads queueing behind tails, the case where a departing tail
+        // must re-flag the next head.
+        let mut f: Fabric<u32> = Fabric::new(
+            Torus::new(2, 6),
+            FabricConfig {
+                vc_buffer_capacity: 3,
+                ..FabricConfig::default()
+            },
+        );
+        let nodes = f.torus().nodes();
+        for round in 0..12usize {
+            for node in 0..nodes {
+                let dst = NodeId((node * 7 + round * 5 + 1) % nodes);
+                let len = 1 + ((node + round) % 6) as u32;
+                f.inject(Message::new(NodeId(node), dst, len, 0));
+            }
+        }
+        while f.in_flight() > 0 {
+            f.step().unwrap();
+            f.assert_masks_consistent();
+            assert!(f.cycle() < 100_000, "dense load did not drain");
+        }
     }
 
     #[test]

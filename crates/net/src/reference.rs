@@ -296,8 +296,8 @@ impl<P> ReferenceFabric<P> {
                     let (src, dst) = (pending.message.src, pending.message.dst);
                     let step = self.topology.route_hop(src, dst, NodeId(node));
                     let output = match step {
-                        PortStep::Eject => OutputRef { port: local, vc: 0 },
-                        PortStep::Forward { port, vc } => OutputRef { port, vc },
+                        PortStep::Eject => OutputRef::new(local, 0),
+                        PortStep::Forward { port, vc } => OutputRef::new(port, vc),
                     };
                     self.routers[node].inputs[port].vcs[vc].route = Some(output);
                 }
@@ -345,7 +345,7 @@ impl<P> ReferenceFabric<P> {
                 continue;
             }
             if let Some(input) = locked_by {
-                let buf = &self.routers[node].inputs[input.port].vcs[input.vc];
+                let buf = &self.routers[node].inputs[input.port()].vcs[input.vc()];
                 if buf.fifo.front().is_some() {
                     self.routers[node].outputs[output].rr_vc = (w + 1) % vc_count;
                     return Some((input, w));
@@ -373,7 +373,7 @@ impl<P> ReferenceFabric<P> {
             }
             let buf = &self.routers[node].inputs[port].vcs[vc];
             let Some(route) = buf.route else { continue };
-            if route.port != output || self.vc_class(output, w) != route.vc {
+            if route.port() != output || self.vc_class(output, w) != route.vc() {
                 continue;
             }
             let Some(front) = buf.fifo.front() else {
@@ -383,7 +383,7 @@ impl<P> ReferenceFabric<P> {
                 continue;
             }
             self.routers[node].outputs[output].vcs[w].rr_input = (idx + 1) % list_len;
-            return Some(InputRef { port, vc });
+            return Some(InputRef::new(port, vc));
         }
         None
     }
@@ -406,7 +406,7 @@ impl<P> ReferenceFabric<P> {
     ) -> Result<(), FabricError> {
         let local = self.local_port();
         let flit = {
-            let buf = &mut self.routers[node].inputs[input.port].vcs[input.vc];
+            let buf = &mut self.routers[node].inputs[input.port()].vcs[input.vc()];
             let flit = buf.fifo.pop_front().ok_or(FabricError::MissingFlit {
                 node: NodeId(node),
                 cycle: self.cycle,
@@ -416,14 +416,14 @@ impl<P> ReferenceFabric<P> {
             }
             flit
         };
-        if input.port == local {
+        if input.port() == local {
             credit_returns.push(CreditReturn::Injection { node });
         } else {
-            let (upstream, up_port) = self.topology.upstream(NodeId(node), input.port).unwrap();
+            let (upstream, up_port) = self.topology.upstream(NodeId(node), input.port()).unwrap();
             credit_returns.push(CreditReturn::Link {
                 node: upstream.0,
                 port: up_port,
-                vc: input.vc,
+                vc: input.vc(),
             });
         }
         if flit.kind.is_tail() {
@@ -717,6 +717,7 @@ mod equivalence_tests {
             }
             opt.step().unwrap();
             reference.step().unwrap();
+            opt.assert_masks_consistent();
             if cycle % 64 == 0 {
                 assert_eq!(
                     opt.stats(),
@@ -775,6 +776,24 @@ mod equivalence_tests {
             7,
             0.05,
             2_000,
+        );
+    }
+
+    /// 6 ports x 12 VCs + injection = 73 input VCs: the unrouted and
+    /// requester masks span two words, so round-robin wraps across them.
+    #[test]
+    fn matches_reference_with_more_than_64_input_vcs() {
+        lockstep(
+            Torus::new(3, 4),
+            FabricConfig {
+                link_vcs: 12,
+                vc_buffer_capacity: 2,
+                ..FabricConfig::default()
+            },
+            None,
+            31,
+            0.3,
+            1_200,
         );
     }
 

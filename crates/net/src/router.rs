@@ -14,21 +14,62 @@
 //! [`crate::fabric`], which owns all routers and the links between them.
 
 use crate::message::Flit;
-use crate::routing::VcIndex;
 use std::collections::VecDeque;
 
-/// Reference to an input virtual channel within one router.
+/// Reference to a virtual channel `(port, vc)` within one router. The
+/// fields are `u16` so the per-VC route and lock tables stay at 6 bytes
+/// per `Option` entry; [`check_router_shape`] guarantees every port and
+/// VC fits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct InputRef {
-    pub port: usize,
-    pub vc: VcIndex,
+pub(crate) struct VcRef {
+    pub port: u16,
+    pub vc: u16,
 }
 
-/// Reference to an output virtual channel within one router.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct OutputRef {
-    pub port: usize,
-    pub vc: VcIndex,
+/// An input virtual channel.
+pub(crate) type InputRef = VcRef;
+
+/// An output virtual channel.
+pub(crate) type OutputRef = VcRef;
+
+impl VcRef {
+    /// Narrows `(port, vc)`; in range by [`check_router_shape`].
+    #[inline]
+    pub(crate) fn new(port: usize, vc: usize) -> Self {
+        debug_assert!(port < usize::from(u16::MAX) && vc < usize::from(u16::MAX));
+        Self {
+            port: port as u16,
+            vc: vc as u16,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn port(self) -> usize {
+        usize::from(self.port)
+    }
+
+    #[inline]
+    pub(crate) fn vc(self) -> usize {
+        usize::from(self.vc)
+    }
+}
+
+/// Asserts that a router with `link_ports` link ports (plus the local
+/// port), `link_vcs` VCs per port and `link_credits`-flit VC buffers fits
+/// the narrow per-VC state — [`VcRef`] fields and `u32` credit
+/// counters — and returns the credit count as stored. `u16::MAX`
+/// stays free as the absent-link sentinel, `u32::MAX` as
+/// [`INFINITE_CREDITS`].
+pub(crate) fn check_router_shape(link_ports: usize, link_vcs: usize, link_credits: usize) -> u32 {
+    assert!(
+        link_ports < usize::from(u16::MAX) && link_vcs < usize::from(u16::MAX),
+        "routers support fewer than {} ports and virtual channels per port",
+        u16::MAX
+    );
+    u32::try_from(link_credits)
+        .ok()
+        .filter(|&credits| credits < INFINITE_CREDITS)
+        .expect("buffer capacity exceeds the credit counter")
 }
 
 /// One input virtual channel: a flit FIFO plus the output assignment of
@@ -58,7 +99,7 @@ impl InputPort {
 
 /// Credit sentinel for the ejection pseudo-channel, which the node drains
 /// unconditionally.
-pub(crate) const INFINITE_CREDITS: usize = usize::MAX;
+pub(crate) const INFINITE_CREDITS: u32 = u32::MAX;
 
 /// Per-output-virtual-channel allocation state.
 #[derive(Debug)]
@@ -66,7 +107,7 @@ pub(crate) struct OutputVc {
     /// The input VC whose message currently owns this output VC.
     pub locked_by: Option<InputRef>,
     /// Free flit slots in the downstream buffer for this VC.
-    pub credits: usize,
+    pub credits: u32,
     /// Round-robin pointer for allocating this VC among competing input
     /// VCs (flattened input index).
     pub rr_input: usize,
@@ -81,7 +122,7 @@ pub(crate) struct OutputPort {
 }
 
 impl OutputPort {
-    fn new(vc_count: usize, credits: usize) -> Self {
+    fn new(vc_count: usize, credits: u32) -> Self {
         Self {
             vcs: (0..vc_count)
                 .map(|_| OutputVc {
@@ -107,6 +148,7 @@ impl Router {
     /// `2*dims`) carrying `link_vcs` virtual channels each, plus one
     /// single-VC injection input and one single-VC ejection output.
     pub(crate) fn new(link_ports: usize, link_vcs: usize, link_credits: usize) -> Self {
+        let link_credits = check_router_shape(link_ports, link_vcs, link_credits);
         let mut inputs: Vec<InputPort> =
             (0..link_ports).map(|_| InputPort::new(link_vcs)).collect();
         inputs.push(InputPort::new(1)); // injection input

@@ -1263,9 +1263,10 @@ mod tests {
         // be acyclic. This is the classical sufficient condition for
         // wormhole deadlock freedom with per-class buffers.
         for t in all_small() {
+            type Channel = (usize, usize, usize);
             let mut edges: std::collections::BTreeMap<
-                (usize, usize, usize),
-                std::collections::BTreeSet<(usize, usize, usize)>,
+                Channel,
+                std::collections::BTreeSet<Channel>,
             > = std::collections::BTreeMap::new();
             for a in 0..t.compute_nodes() {
                 for b in 0..t.compute_nodes() {

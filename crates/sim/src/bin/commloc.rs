@@ -26,8 +26,8 @@ use commloc_sim::conformance::figures::{
 use commloc_sim::conformance::{rel_err, suite_jobs, GoldenTable, Violation};
 use commloc_sim::{
     default_jobs, mapping_suite, model_profile, parallel_map, run_cached_sweep, run_experiment,
-    run_sharded_experiment, set_job_budget, topology_mapping_suite, Machine, Mapping, ServeOptions,
-    ShardedMachine, SimConfig, SweepPoint, Trace, Workload, BREAKDOWN_CSV_HEADER,
+    run_sharded_experiment, set_job_budget, topology_mapping_suite, ConfigError, Machine, Mapping,
+    ServeOptions, ShardedMachine, SimConfig, SweepPoint, Trace, Workload, BREAKDOWN_CSV_HEADER,
     MEASUREMENTS_CSV_HEADER,
 };
 use std::collections::HashMap;
@@ -252,6 +252,16 @@ fn get_u64(options: &HashMap<String, String>, key: &str, default: u64) -> Result
     })
 }
 
+/// An integer option narrowed into its field's type; out-of-range values
+/// are rejected instead of truncated.
+fn get_narrow<T: TryFrom<u64>>(
+    options: &HashMap<String, String>,
+    key: &'static str,
+    default: u64,
+) -> Result<T, String> {
+    ConfigError::narrow(key, get_u64(options, key, default)?).map_err(|e| format!("--{e}"))
+}
+
 /// Worker-thread count: `--jobs` if given, else `COMMLOC_JOBS`, else the
 /// machine's available parallelism. `--jobs 0` and non-numeric values
 /// are rejected outright (previously zero was silently clamped to 1).
@@ -308,7 +318,7 @@ fn get_shards(options: &HashMap<String, String>, nodes: usize) -> Result<usize, 
 
 fn machine_from(options: &HashMap<String, String>) -> Result<MachineConfig, String> {
     let mut machine = MachineConfig::alewife();
-    machine = machine.with_contexts(get_u64(options, "contexts", 1)? as u32);
+    machine = machine.with_contexts(get_narrow(options, "contexts", 1)?);
     if let Some(nodes) = options.get("nodes") {
         let nodes: f64 = nodes.parse().map_err(|_| "--nodes: not a number")?;
         machine = machine.with_nodes(nodes);
@@ -441,9 +451,10 @@ fn workload_from(options: &HashMap<String, String>) -> Result<Workload, String> 
 
 fn sim_config(options: &HashMap<String, String>) -> Result<SimConfig, String> {
     let mut config = SimConfig {
-        contexts: get_u64(options, "contexts", 1)? as usize,
+        contexts: get_narrow(options, "contexts", 1)?,
         ..SimConfig::default()
     };
+    config.validate().map_err(|e| format!("--{e}"))?;
     if let Some(spec) = options.get("topology") {
         config.topology = Some(
             Topology::parse(spec, config.dims, config.radix)
@@ -1350,6 +1361,17 @@ mod tests {
         assert!(e.starts_with("--topology:"), "{e}");
         let e = sim_config(&opts(&["--traffic", "storm"])).unwrap_err();
         assert!(e.starts_with("--traffic:"), "{e}");
+    }
+
+    #[test]
+    fn sim_config_rejects_zero_and_oversized_contexts() {
+        let e = sim_config(&opts(&["--contexts", "0"])).unwrap_err();
+        assert_eq!(e, "--contexts: must be at least 1");
+        let e = machine_from(&opts(&["--contexts", "4294967297"])).unwrap_err();
+        assert!(
+            e.contains("--contexts") && e.contains("out of range"),
+            "{e}"
+        );
     }
 
     #[test]

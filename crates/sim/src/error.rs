@@ -158,6 +158,41 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
+/// A [`SimConfig`](crate::SimConfig) value the simulator cannot run,
+/// reported by [`SimConfig::validate`](crate::SimConfig::validate) and by
+/// [`ConfigError::narrow`] instead of a panic or a silent wrap.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The offending field, named as in CLI flags and serve requests.
+    pub field: &'static str,
+    /// What is wrong with its value.
+    pub reason: String,
+}
+
+impl ConfigError {
+    /// Narrows an input integer into a config field's type, rejecting
+    /// values that do not fit rather than truncating them.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] naming `field` if `value` is out of
+    /// range for `T`.
+    pub fn narrow<T: TryFrom<u64>>(field: &'static str, value: u64) -> Result<T, ConfigError> {
+        T::try_from(value).map_err(|_| ConfigError {
+            field,
+            reason: format!("{value} is out of range"),
+        })
+    }
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: {}", self.field, self.reason)
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 impl From<FabricError> for SimError {
     fn from(e: FabricError) -> Self {
         SimError::Fabric(e)

@@ -360,7 +360,6 @@ impl MachineScenario {
                 vc_buffer_capacity: 8,
                 injection_buffer_capacity: 8,
                 trace_capacity: if traced { self.trace_capacity } else { 0 },
-                ..FabricConfig::default()
             },
             watchdog_cycles: self.watchdog_cycles,
             fault_plan: self.fault.as_ref().map(|spec| spec.build(self.seed)),

@@ -49,7 +49,7 @@ mod workload;
 pub use breakdown::{SpanEvent, SpanLog, TransactionBreakdown, BREAKDOWN_CSV_HEADER};
 pub use csv::MEASUREMENTS_CSV_HEADER;
 pub use disturbance::{run_disturbance, DisturbanceConfig, DisturbanceCurve};
-pub use error::{SimError, StallKind, StallReport};
+pub use error::{ConfigError, SimError, StallKind, StallReport};
 pub use fit::{fit_line, FitError, LineFit};
 pub use machine::{run_experiment, Machine, MachineSnapshot, Measurements, SimConfig};
 pub use mapping::{mapping_suite, topology_mapping_suite, Mapping, NamedMapping};

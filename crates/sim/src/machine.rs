@@ -31,7 +31,7 @@
 //! two across random scenarios.
 
 use crate::breakdown::{SpanEvent, SpanLog, TransactionBreakdown};
-use crate::error::{SimError, StallKind, StallReport};
+use crate::error::{ConfigError, SimError, StallKind, StallReport};
 use crate::mapping::Mapping;
 use crate::resilience::{MigrationPolicy, MigrationRecord, MigrationView};
 use crate::workload::{workload_home_map, Workload};
@@ -90,6 +90,30 @@ impl SimConfig {
         self.topology
             .clone()
             .unwrap_or_else(|| Topology::cube(self.dims, self.radix))
+    }
+
+    /// Checks the scalar fields every machine needs before anything is
+    /// built from them: the CLI and serve call this on every config they
+    /// accept from outside.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] for a zero `dims`, `radix`, `contexts`
+    /// or `clock_ratio`.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let zero = [
+            ("dims", self.dims == 0),
+            ("radix", self.radix == 0),
+            ("contexts", self.contexts == 0),
+            ("clock_ratio", self.clock_ratio == 0),
+        ];
+        match zero.iter().find(|(_, is_zero)| *is_zero) {
+            Some(&(field, _)) => Err(ConfigError {
+                field,
+                reason: "must be at least 1".into(),
+            }),
+            None => Ok(()),
+        }
     }
 }
 

@@ -36,7 +36,7 @@
 //! and a conformance gate all hit the same cache.
 
 use crate::conformance::{REDUCED_WARMUP, REDUCED_WINDOW, SUITE_SEED};
-use crate::error::SimError;
+use crate::error::{ConfigError, SimError};
 use crate::json::{json_string, Json};
 use crate::machine::{Machine, MachineSnapshot, Measurements, SimConfig};
 use crate::mapping::{mapping_suite, topology_mapping_suite, Mapping, NamedMapping};
@@ -596,6 +596,11 @@ const REQUEST_KEYS: &[&str] = &[
     "stall_window",
 ];
 
+/// A request integer narrowed into its config field's type.
+fn narrowed<T: TryFrom<u64>>(field: &'static str, value: Result<u64, String>) -> Result<T, String> {
+    ConfigError::narrow(field, value?).map_err(|e| e.to_string())
+}
+
 fn parse_request(line: &str) -> Result<Request, String> {
     let doc = Json::parse(line)?;
     for (key, _) in doc.as_object()? {
@@ -627,17 +632,26 @@ fn parse_request(line: &str) -> Result<Request, String> {
             Err(format!("{name}: {rate} is not a probability in [0, 1]"))
         }
     };
+    // Narrowed with a range check: a silent wrap would alias another
+    // scenario (and its cache entry).
     let defaults = SimConfig::default();
     let mut config = SimConfig {
-        dims: u64_field("dims", u64::from(defaults.dims))? as u32,
-        radix: u64_field("radix", defaults.radix as u64)? as usize,
-        contexts: u64_field("contexts", defaults.contexts as u64)? as usize,
-        clock_ratio: u64_field("clock_ratio", u64::from(defaults.clock_ratio))? as u32,
-        switch_cycles: u64_field("switch_cycles", u64::from(defaults.switch_cycles))? as u32,
-        work: u64_field("work", u64::from(defaults.work))? as u32,
+        dims: narrowed("dims", u64_field("dims", u64::from(defaults.dims)))?,
+        radix: narrowed("radix", u64_field("radix", defaults.radix as u64))?,
+        contexts: narrowed("contexts", u64_field("contexts", defaults.contexts as u64))?,
+        clock_ratio: narrowed(
+            "clock_ratio",
+            u64_field("clock_ratio", u64::from(defaults.clock_ratio)),
+        )?,
+        switch_cycles: narrowed(
+            "switch_cycles",
+            u64_field("switch_cycles", u64::from(defaults.switch_cycles)),
+        )?,
+        work: narrowed("work", u64_field("work", u64::from(defaults.work)))?,
         watchdog_cycles: u64_field("watchdog", defaults.watchdog_cycles)?,
         ..defaults
     };
+    config.validate().map_err(|e| e.to_string())?;
     if let Some(v) = get("topology") {
         let spec = v.as_string().map_err(|e| format!("topology: {e}"))?;
         config.topology = Some(
@@ -993,23 +1007,29 @@ mod tests {
         let random = ScenarioKey::new(&config, &Mapping::random(64, 7), 1_000, 4_000);
         assert_ne!(identity.canonical(), random.canonical());
 
-        let mut faulted = SimConfig::default();
-        faulted.fault_plan = Some(FaultPlan::new(9).with_drop_rate(0.01));
+        let faulted = SimConfig {
+            fault_plan: Some(FaultPlan::new(9).with_drop_rate(0.01)),
+            ..SimConfig::default()
+        };
         let with_fault = ScenarioKey::new(&faulted, &Mapping::identity(64), 1_000, 4_000);
         assert_ne!(identity.canonical(), with_fault.canonical());
 
         // Fault plans differing only in seed, or only in one scheduled
         // event, never alias.
-        let mut reseeded = SimConfig::default();
-        reseeded.fault_plan = Some(FaultPlan::new(10).with_drop_rate(0.01));
+        let reseeded = SimConfig {
+            fault_plan: Some(FaultPlan::new(10).with_drop_rate(0.01)),
+            ..SimConfig::default()
+        };
         let with_reseed = ScenarioKey::new(&reseeded, &Mapping::identity(64), 1_000, 4_000);
         assert_ne!(with_fault.canonical(), with_reseed.canonical());
-        let mut scheduled = SimConfig::default();
-        scheduled.fault_plan = Some(
-            FaultPlan::new(9)
-                .with_drop_rate(0.01)
-                .stall_router_at(500, 12, 300),
-        );
+        let scheduled = SimConfig {
+            fault_plan: Some(
+                FaultPlan::new(9)
+                    .with_drop_rate(0.01)
+                    .stall_router_at(500, 12, 300),
+            ),
+            ..SimConfig::default()
+        };
         let with_schedule = ScenarioKey::new(&scheduled, &Mapping::identity(64), 1_000, 4_000);
         assert_ne!(with_fault.canonical(), with_schedule.canonical());
     }
@@ -1240,5 +1260,53 @@ mod tests {
             text.contains("\"event\":\"stats\""),
             "daemon must survive: {text}"
         );
+    }
+
+    /// Runs `request` then `stats` through the protocol and returns the
+    /// first output line (which must be an error) after asserting the
+    /// daemon answered the second.
+    fn rejected_request(request: &str) -> String {
+        let cache = Mutex::new(ScenarioCache::new(4, 2));
+        let input = format!("{request}\n{{\"op\":\"stats\"}}\n");
+        let mut output = Vec::new();
+        handle_stream(input.as_bytes(), &mut output, 1, &cache).unwrap();
+        let text = String::from_utf8(output).unwrap();
+        let mut lines = text.lines();
+        let first = lines.next().unwrap_or_default().to_string();
+        assert!(first.contains("\"event\":\"error\""), "{request}: {text}");
+        assert!(
+            lines
+                .next()
+                .is_some_and(|l| l.contains("\"event\":\"stats\"")),
+            "daemon must survive {request}: {text}"
+        );
+        first
+    }
+
+    #[test]
+    fn zero_contexts_is_an_error_event_not_a_crash() {
+        let err = rejected_request(
+            r#"{"op":"run","contexts":0,"mapping":"identity","warmup":100,"window":100}"#,
+        );
+        assert!(err.contains("contexts"), "error must name the field: {err}");
+        for field in ["radix", "dims", "clock_ratio"] {
+            let err = rejected_request(&format!(
+                r#"{{"op":"run","{field}":0,"mapping":"identity","warmup":100,"window":100}}"#
+            ));
+            assert!(err.contains(field), "error must name {field}: {err}");
+        }
+    }
+
+    #[test]
+    fn oversized_fields_are_rejected_not_wrapped() {
+        // 2^32 + 2 used to wrap to `dims: 2` and hit the 2-D cache entry.
+        let err = rejected_request(
+            r#"{"op":"run","dims":4294967298,"mapping":"identity","warmup":100,"window":100}"#,
+        );
+        assert!(
+            err.contains("dims") && err.contains("out of range"),
+            "{err}"
+        );
+        assert!(parse_request(r#"{"op":"run","work":4294967296}"#).is_err());
     }
 }

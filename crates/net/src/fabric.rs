@@ -308,7 +308,7 @@ pub struct Fabric<P> {
     stats: FabricStats,
     /// Per-component latency accounting and histograms, accumulated at
     /// delivery time alongside `stats` (kept out of `FabricStats`: the
-    /// reference-engine equivalence tests compare that struct verbatim).
+    /// reference equivalence tests compare that struct verbatim).
     breakdown: LatencyBreakdown,
     /// Bounded event trace; `None` unless `config.trace_capacity > 0`.
     trace: Option<TraceBuffer>,

@@ -24,13 +24,14 @@
 //! On a mismatch, [`shrink`] greedily reduces the failing scenario
 //! (fewer cycles, lower rate, no faults, smaller torus, shallower
 //! buffers) while re-checking that it still fails, and
-//! [`ShrinkOutcome::repro_test`] prints a ready-to-paste `#[test]`
+//! [`FuzzScenario::repro_test`] prints a ready-to-paste `#[test]`
 //! function that replays the minimal scenario.
 //!
-//! The module is compiled for in-crate tests and exported under the
-//! `reference-engine` feature (the same gate as [`ReferenceFabric`]), so
-//! `commloc-sim` can drive bounded fuzz campaigns from the `commloc fuzz`
-//! CLI subcommand and CI.
+//! The module also holds the toolkit the machine-level fuzzer in
+//! `commloc-sim` builds on: the seeded [`FaultSpec::draw`], the
+//! [`check_eq!`](crate::check_eq) divergence macro, the [`shrink_with`]
+//! loop with its [`edited`] candidates and [`ShrinkOutcome`], and the
+//! [`topology_expr`] / [`fault_expr`] literal printers.
 
 use crate::fault::FaultPlan;
 use crate::message::Message;
@@ -46,8 +47,8 @@ const SCENARIO_SALT: u64 = 0x5CE2_A210_D1FF_F0D0;
 
 /// Declarative fault-plan description, kept as plain data (rather than a
 /// built [`FaultPlan`]) so the shrinker can drop pieces of it and
-/// [`ShrinkOutcome::repro_test`] can print it as a literal.
-#[derive(Debug, Clone, PartialEq)]
+/// [`fault_expr`] can print it as a literal.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultSpec {
     /// Probability a message is dropped mid-flight.
     pub drop_rate: f64,
@@ -95,6 +96,115 @@ impl FaultSpec {
             && self.link_stalls.is_empty()
             && self.router_stalls.is_empty()
     }
+
+    /// Draws a fault plan from `rng` under `odds`, or `None` when the
+    /// draw (or the odds) leave it empty. Scheduled events land in
+    /// `[1, horizon)` on one of `routers` nodes; `(dim, direction)`
+    /// link faults need torus coordinates, so they are drawn only when
+    /// `cube_dims` is set. The draw order is fixed: a seed always yields
+    /// the same plan.
+    pub fn draw(
+        rng: &mut DetRng,
+        odds: &FaultOdds,
+        horizon: u64,
+        routers: usize,
+        cube_dims: Option<u32>,
+    ) -> Option<Self> {
+        if !rng.chance(odds.plan) {
+            return None;
+        }
+        let mut spec = FaultSpec {
+            drop_rate: draw_rate(rng, odds.drop),
+            corrupt_rate: draw_rate(rng, odds.corrupt),
+            stall_rate: draw_rate(rng, odds.stall),
+            stall_window: rng.range_u64(odds.stall_window.0, odds.stall_window.1),
+            ..FaultSpec::default()
+        };
+        let (short, long) = odds.stall_length;
+        if let Some(dims) = cube_dims {
+            if rng.chance(odds.kill) {
+                spec.kills.push(draw_link_site(rng, horizon, routers, dims));
+            }
+            if rng.chance(odds.link_stall) {
+                let (cycle, node, dim, dir) = draw_link_site(rng, horizon, routers, dims);
+                let window = rng.range_u64(short, long);
+                spec.link_stalls.push((cycle, node, dim, dir, window));
+            }
+        }
+        if rng.chance(odds.router_stall) {
+            spec.router_stalls.push((
+                rng.range_u64(1, horizon),
+                rng.index(routers),
+                rng.range_u64(short, long),
+            ));
+        }
+        (!spec.is_empty()).then_some(spec)
+    }
+}
+
+/// The odds table behind [`FaultSpec::draw`]: how often each fault
+/// ingredient appears and how strong it is. Plain values, so each fuzzer
+/// states its fault mix as one constant.
+#[derive(Debug, Clone, Copy)]
+pub struct FaultOdds {
+    /// Probability that a scenario carries a fault plan at all.
+    pub plan: f64,
+    /// `(probability, upper bound)` of a nonzero drop rate.
+    pub drop: (f64, f64),
+    /// `(probability, upper bound)` of a nonzero corruption rate.
+    pub corrupt: (f64, f64),
+    /// `(probability, upper bound)` of a nonzero transient-stall rate.
+    pub stall: (f64, f64),
+    /// Transient stall window range, `[lo, hi)` cycles.
+    pub stall_window: (u64, u64),
+    /// Probability of one scheduled link kill (cubes only).
+    pub kill: f64,
+    /// Probability of one scheduled link stall (cubes only).
+    pub link_stall: f64,
+    /// Probability of one scheduled router stall.
+    pub router_stall: f64,
+    /// Length range of scheduled stalls, `[lo, hi)` cycles.
+    pub stall_length: (u64, u64),
+}
+
+/// The fabric fuzzer's fault mix.
+const FAULT_ODDS: FaultOdds = FaultOdds {
+    plan: 0.5,
+    drop: (0.6, 0.02),
+    corrupt: (0.4, 0.03),
+    stall: (0.4, 0.01),
+    stall_window: (8, 64),
+    kill: 0.25,
+    link_stall: 0.25,
+    router_stall: 0.25,
+    stall_length: (20, 200),
+};
+
+/// A rate in `[0, max)` with probability `p`, else zero.
+fn draw_rate(rng: &mut DetRng, (p, max): (f64, f64)) -> f64 {
+    if rng.chance(p) {
+        rng.range_f64(0.0, max)
+    } else {
+        0.0
+    }
+}
+
+/// A scheduled link-fault site, `(cycle, node, dim, direction)`.
+fn draw_link_site(
+    rng: &mut DetRng,
+    horizon: u64,
+    routers: usize,
+    dims: u32,
+) -> (u64, usize, u32, Direction) {
+    let cycle = rng.range_u64(1, horizon);
+    let node = rng.index(routers);
+    let dim = rng.index(dims as usize) as u32;
+    let dir = if rng.chance(0.5) {
+        Direction::Plus
+    } else {
+        Direction::Minus
+    };
+    (cycle, node, dim, dir)
 }
 
 /// Destination pattern of the fuzz workload stream, drawn alongside the
@@ -203,79 +313,11 @@ impl FuzzScenario {
         let min_length = 1 + rng.index(4) as u32;
         let max_length = min_length + rng.index(12) as u32;
         let cycles = rng.range_u64(200, 1_200);
-        let nodes = topology.nodes();
         let cube_dims = match &topology {
             Topology::Cube(t) => Some(t.dims()),
             _ => None,
         };
-        let fault = if rng.chance(0.5) {
-            let mut spec = FaultSpec {
-                drop_rate: if rng.chance(0.6) {
-                    rng.range_f64(0.0, 0.02)
-                } else {
-                    0.0
-                },
-                corrupt_rate: if rng.chance(0.4) {
-                    rng.range_f64(0.0, 0.03)
-                } else {
-                    0.0
-                },
-                stall_rate: if rng.chance(0.4) {
-                    rng.range_f64(0.0, 0.01)
-                } else {
-                    0.0
-                },
-                stall_window: rng.range_u64(8, 64),
-                kills: Vec::new(),
-                link_stalls: Vec::new(),
-                router_stalls: Vec::new(),
-            };
-            // Scheduled link faults address links as (dim, direction)
-            // pairs, which only exist on the torus; the probabilistic
-            // drop/corrupt/stall faults above are port-generic and cover
-            // every topology.
-            if let Some(dims) = cube_dims {
-                if rng.chance(0.25) {
-                    spec.kills.push((
-                        rng.range_u64(1, cycles),
-                        rng.index(nodes),
-                        rng.index(dims as usize) as u32,
-                        if rng.chance(0.5) {
-                            Direction::Plus
-                        } else {
-                            Direction::Minus
-                        },
-                    ));
-                }
-                if rng.chance(0.25) {
-                    spec.link_stalls.push((
-                        rng.range_u64(1, cycles),
-                        rng.index(nodes),
-                        rng.index(dims as usize) as u32,
-                        if rng.chance(0.5) {
-                            Direction::Plus
-                        } else {
-                            Direction::Minus
-                        },
-                        rng.range_u64(20, 200),
-                    ));
-                }
-            }
-            if rng.chance(0.25) {
-                spec.router_stalls.push((
-                    rng.range_u64(1, cycles),
-                    rng.index(nodes),
-                    rng.range_u64(20, 200),
-                ));
-            }
-            if spec.is_empty() {
-                None
-            } else {
-                Some(spec)
-            }
-        } else {
-            None
-        };
+        let fault = FaultSpec::draw(&mut rng, &FAULT_ODDS, cycles, topology.nodes(), cube_dims);
         Self {
             seed,
             topology,
@@ -359,20 +401,32 @@ pub struct FuzzReport {
     pub cycles: u64,
 }
 
+/// Returns a [`Divergence`] from the enclosing function at the first of
+/// one or more comparisons that fails. `check_eq!((first, second),
+/// cycle; a, b, what; ...)` reports `"{what}: {first} {a:?} != {second}
+/// {b:?}"`, where the labels name the engines that produced `a` and `b`.
+#[macro_export]
 macro_rules! check_eq {
-    ($cycle:expr, $a:expr, $b:expr, $what:expr) => {
-        if $a != $b {
-            return Err(Divergence {
-                cycle: $cycle,
-                what: format!("{}: optimized {:?} != reference {:?}", $what, $a, $b),
-            });
-        }
+    ($engines:expr, $cycle:expr; $($a:expr, $b:expr, $what:expr);+ $(;)?) => {
+        $(
+            if $a != $b {
+                return Err($crate::fuzz::Divergence {
+                    cycle: $cycle,
+                    what: format!(
+                        "{}: {} {:?} != {} {:?}",
+                        $what, $engines.0, $a, $engines.1, $b
+                    ),
+                });
+            }
+        )+
     };
 }
 
-/// Bound on the post-injection drain phase, matching the in-crate
-/// equivalence tests: wedged traffic (dead links) stays put forever, so
-/// the drain must be bounded.
+/// The engine labels of the fabric lockstep's divergence reports.
+const ENGINES: (&str, &str) = ("optimized", "reference");
+
+/// Bound on the post-injection drain phase: wedged traffic (dead links)
+/// stays put forever, so the drain must be bounded.
 const DRAIN_CYCLES: u64 = 20_000;
 
 /// Runs a scenario's lockstep differential check. See the module docs
@@ -442,7 +496,7 @@ pub fn run_scenario_mutated(
         }
         step_both(&mut opt, &mut reference, cycle)?;
         if cycle % 64 == 0 {
-            check_eq!(Some(cycle), opt.stats(), reference.stats(), "stats");
+            check_eq!(ENGINES, Some(cycle); opt.stats(), reference.stats(), "stats");
         }
     }
     // Drain (bounded: traffic wedged behind killed links never leaves).
@@ -452,23 +506,14 @@ pub fn run_scenario_mutated(
         drained += 1;
     }
 
-    check_eq!(None, opt.cycle(), reference.cycle(), "cycle count");
-    check_eq!(None, opt.stats(), reference.stats(), "final stats");
-    check_eq!(
-        None,
-        opt.total_injected(),
-        reference.total_injected(),
-        "total injected"
-    );
-    check_eq!(None, opt.in_flight(), reference.in_flight(), "in-flight");
-    check_eq!(
-        None,
-        opt.buffered_flits(),
-        reference.buffered_flits(),
-        "buffered flits"
-    );
-    check_eq!(None, opt.activity(), reference.activity(), "activity");
-    check_eq!(None, opt.fault_log(), reference.fault_log(), "fault log");
+    check_eq!(ENGINES, None;
+        opt.cycle(), reference.cycle(), "cycle count";
+        opt.stats(), reference.stats(), "final stats";
+        opt.total_injected(), reference.total_injected(), "total injected";
+        opt.in_flight(), reference.in_flight(), "in-flight";
+        opt.buffered_flits(), reference.buffered_flits(), "buffered flits";
+        opt.activity(), reference.activity(), "activity";
+        opt.fault_log(), reference.fault_log(), "fault log");
 
     // Delivery order/content equality, plus the optimized engine's
     // per-delivery breakdown telescoping invariant.
@@ -477,7 +522,7 @@ pub fn run_scenario_mutated(
         loop {
             let a = opt.poll_delivery(NodeId(node));
             let b = reference.poll_delivery(NodeId(node));
-            check_eq!(None, &a, &b, format!("delivery at node {node}"));
+            check_eq!(ENGINES, None; &a, &b, format!("delivery at node {node}"));
             let Some(delivery) = a else { break };
             delivered += 1;
             let parts = delivery.breakdown();
@@ -499,27 +544,14 @@ pub fn run_scenario_mutated(
 
     // Cross-layer accounting invariants on the optimized engine.
     let stats = opt.stats();
-    check_eq!(None, delivered, stats.delivered_messages, "delivered count");
     let breakdown = opt.breakdown();
-    check_eq!(
-        None,
-        breakdown.deliveries,
-        stats.delivered_messages,
-        "breakdown delivery count"
-    );
-    check_eq!(
-        None,
-        breakdown.total(),
-        stats.sum_total_latency,
-        "breakdown aggregate vs stats latency sum"
-    );
     let conserved = delivered + stats.dropped_messages + opt.in_flight() as u64;
-    check_eq!(
-        None,
-        opt.total_injected(),
-        conserved,
-        "conservation (injected = delivered + dropped + in-flight)"
-    );
+    check_eq!(ENGINES, None;
+        delivered, stats.delivered_messages, "delivered count";
+        breakdown.deliveries, stats.delivered_messages, "breakdown delivery count";
+        breakdown.total(), stats.sum_total_latency, "breakdown aggregate vs stats latency sum";
+        opt.total_injected(), conserved,
+        "conservation (injected = delivered + dropped + in-flight)");
     if let Some(trace) = opt.trace() {
         if trace.iter().count() > scenario.trace_capacity {
             return Err(Divergence {
@@ -558,6 +590,8 @@ fn step_both(
 ) -> Result<(), Divergence> {
     let a = opt.step();
     let b = reference.step();
+    #[cfg(test)]
+    opt.assert_masks_consistent();
     if a.is_err() || b.is_err() {
         return Err(Divergence {
             cycle: Some(cycle),
@@ -569,33 +603,26 @@ fn step_both(
 
 /// The open-loop injection schedule drawn from a scenario's seed. Both
 /// engines consume an identical mirrored stream.
-struct WorkloadStream {
+struct WorkloadStream<'a> {
     rng: DetRng,
-    nodes: usize,
-    rate: f64,
-    min_length: u32,
-    max_length: u32,
-    traffic: FuzzTraffic,
+    scenario: &'a FuzzScenario,
     burst_on: Vec<bool>,
 }
 
-impl WorkloadStream {
-    fn new(scenario: &FuzzScenario) -> Self {
+impl<'a> WorkloadStream<'a> {
+    fn new(scenario: &'a FuzzScenario) -> Self {
         Self {
             rng: DetRng::new(scenario.seed),
-            nodes: scenario.nodes(),
-            rate: scenario.rate,
-            min_length: scenario.min_length,
-            max_length: scenario.max_length,
-            traffic: scenario.traffic,
+            scenario,
             burst_on: vec![false; scenario.nodes()],
         }
     }
 
     fn pulse(&mut self) -> Vec<Message<u64>> {
+        let s = self.scenario;
         let mut out = Vec::new();
-        for src in 0..self.nodes {
-            if let FuzzTraffic::Bursty { on_off, off_on } = self.traffic {
+        for src in 0..s.nodes() {
+            if let FuzzTraffic::Bursty { on_off, off_on } = s.traffic {
                 let on = self.burst_on[src];
                 let next = if on {
                     !self.rng.chance(on_off)
@@ -607,11 +634,11 @@ impl WorkloadStream {
                     continue;
                 }
             }
-            if self.rng.chance(self.rate) {
+            if self.rng.chance(s.rate) {
                 let dst = self.destination(src);
                 let length = self
                     .rng
-                    .range_u64(u64::from(self.min_length), u64::from(self.max_length) + 1)
+                    .range_u64(u64::from(s.min_length), u64::from(s.max_length) + 1)
                     as u32;
                 let payload = self.rng.next_u64();
                 out.push(Message::new(NodeId(src), NodeId(dst), length, payload));
@@ -621,21 +648,22 @@ impl WorkloadStream {
     }
 
     fn destination(&mut self, src: usize) -> usize {
-        match self.traffic {
-            FuzzTraffic::Uniform | FuzzTraffic::Bursty { .. } => self.rng.index(self.nodes),
+        let nodes = self.scenario.nodes();
+        match self.scenario.traffic {
+            FuzzTraffic::Uniform | FuzzTraffic::Bursty { .. } => self.rng.index(nodes),
             FuzzTraffic::Hotspot { target, fraction } => {
                 if self.rng.chance(fraction) {
                     target
                 } else {
-                    self.rng.index(self.nodes)
+                    self.rng.index(nodes)
                 }
             }
             FuzzTraffic::Transpose => {
-                let k = (self.nodes as f64).sqrt() as usize;
-                if k * k == self.nodes {
+                let k = (nodes as f64).sqrt() as usize;
+                if k * k == nodes {
                     (src % k) * k + src / k
                 } else {
-                    self.nodes - 1 - src
+                    nodes - 1 - src
                 }
             }
         }
@@ -644,63 +672,47 @@ impl WorkloadStream {
 
 /// Result of shrinking a failing scenario to a (locally) minimal one.
 #[derive(Debug, Clone)]
-pub struct ShrinkOutcome {
+pub struct ShrinkOutcome<S> {
     /// The minimal failing scenario found.
-    pub scenario: FuzzScenario,
+    pub scenario: S,
     /// Its divergence.
     pub divergence: Divergence,
     /// Candidate scenarios tried during shrinking.
     pub attempts: u32,
 }
 
-impl ShrinkOutcome {
-    /// Renders a ready-to-paste `#[test]` function that replays the
-    /// minimal failing scenario (paste into any crate that depends on
-    /// `commloc-net` with the `reference-engine` feature).
+impl FuzzScenario {
+    /// Renders a ready-to-paste `#[test]` function that replays this
+    /// scenario (paste into any crate that depends on `commloc-net`).
     pub fn repro_test(&self) -> String {
-        let s = &self.scenario;
-        let fault = match &s.fault {
-            None => "None".to_owned(),
-            Some(f) => format!(
-                "Some(FaultSpec {{\n            drop_rate: {:?},\n            corrupt_rate: {:?},\n            \
-                 stall_rate: {:?},\n            stall_window: {},\n            kills: vec!{:?},\n            \
-                 link_stalls: vec!{:?},\n            router_stalls: vec!{:?},\n        }})",
-                f.drop_rate,
-                f.corrupt_rate,
-                f.stall_rate,
-                f.stall_window,
-                f.kills,
-                f.link_stalls,
-                f.router_stalls
-            ),
-        };
         format!(
             "#[test]\nfn fuzz_repro_seed_{seed}() {{\n    use commloc_net::fuzz::{{run_scenario, FaultSpec, FuzzScenario, FuzzTraffic}};\n    \
-             use commloc_net::{{Direction, Topology}};\n    let _ = &Direction::Plus; // used by fault literals\n    \
+             use commloc_net::Direction::{{Minus, Plus}};\n    use commloc_net::Topology;\n    \
+             let _: (Option<FaultSpec>, [_; 2]) = (None, [Minus, Plus]); // used by fault literals\n    \
              let scenario = FuzzScenario {{\n        seed: {seed},\n        topology: {topo},\n        traffic: {traffic},\n        \
              link_vcs: {vcs},\n        vc_buffer_capacity: {vcap},\n        injection_buffer_capacity: {icap},\n        \
              trace_capacity: {tcap},\n        rate: {rate:?},\n        min_length: {minl},\n        max_length: {maxl},\n        \
              cycles: {cycles},\n        fault: {fault},\n    }};\n    \
              run_scenario(&scenario).expect(\"Fabric and ReferenceFabric must agree\");\n}}\n",
-            seed = s.seed,
-            topo = topology_expr(&s.topology),
-            traffic = traffic_expr(&s.traffic),
-            vcs = s.link_vcs,
-            vcap = s.vc_buffer_capacity,
-            icap = s.injection_buffer_capacity,
-            tcap = s.trace_capacity,
-            rate = s.rate,
-            minl = s.min_length,
-            maxl = s.max_length,
-            cycles = s.cycles,
-            fault = fault,
+            seed = self.seed,
+            topo = topology_expr(&self.topology),
+            traffic = traffic_expr(&self.traffic),
+            vcs = self.link_vcs,
+            vcap = self.vc_buffer_capacity,
+            icap = self.injection_buffer_capacity,
+            tcap = self.trace_capacity,
+            rate = self.rate,
+            minl = self.min_length,
+            maxl = self.max_length,
+            cycles = self.cycles,
+            fault = fault_expr(self.fault.as_ref()),
         )
     }
 }
 
 /// Renders a topology as the constructor expression that recreates it,
 /// for ready-to-paste repro tests.
-fn topology_expr(t: &Topology) -> String {
+pub fn topology_expr(t: &Topology) -> String {
     match t {
         Topology::Cube(c) => format!("Topology::cube({}, {})", c.dims(), c.radix()),
         Topology::Mesh(m) => {
@@ -714,6 +726,27 @@ fn topology_expr(t: &Topology) -> String {
             d.globals_per_router()
         ),
     }
+}
+
+/// Renders an optional fault plan as the literal expression that
+/// recreates it, for ready-to-paste repro tests (which import `FaultSpec`
+/// and the `Direction` variants).
+pub fn fault_expr(fault: Option<&FaultSpec>) -> String {
+    let Some(f) = fault else {
+        return "None".to_owned();
+    };
+    format!(
+        "Some(FaultSpec {{\n            drop_rate: {:?},\n            corrupt_rate: {:?},\n            \
+         stall_rate: {:?},\n            stall_window: {},\n            kills: vec!{:?},\n            \
+         link_stalls: vec!{:?},\n            router_stalls: vec!{:?},\n        }})",
+        f.drop_rate,
+        f.corrupt_rate,
+        f.stall_rate,
+        f.stall_window,
+        f.kills,
+        f.link_stalls,
+        f.router_stalls
+    )
 }
 
 /// Renders a traffic pattern as a literal expression.
@@ -740,22 +773,20 @@ fn traffic_expr(t: &FuzzTraffic) -> String {
 /// part of the failure being reproduced.
 ///
 /// Returns `None` if `scenario` does not actually fail.
-pub fn shrink(scenario: &FuzzScenario, mutation: Option<FuzzMutation>) -> Option<ShrinkOutcome> {
-    let (scenario, divergence, attempts) = shrink_with(
+pub fn shrink(
+    scenario: &FuzzScenario,
+    mutation: Option<FuzzMutation>,
+) -> Option<ShrinkOutcome<FuzzScenario>> {
+    shrink_with(
         scenario,
         |s| run_scenario_mutated(s, mutation).err(),
         reductions,
-    )?;
-    Some(ShrinkOutcome {
-        scenario,
-        divergence,
-        attempts,
-    })
+    )
 }
 
 /// The greedy shrinking loop behind [`shrink`], generic over the scenario
-/// and divergence types so the machine-level fuzzer in `commloc-sim` can
-/// reuse it with its own scenario space.
+/// type so the machine-level fuzzer in `commloc-sim` can reuse it with its
+/// own scenario space.
 ///
 /// `fails` returns `Some(divergence)` when a candidate still exhibits the
 /// failure; `reduce` enumerates candidate single-step reductions, most
@@ -764,11 +795,11 @@ pub fn shrink(scenario: &FuzzScenario, mutation: Option<FuzzMutation>) -> Option
 /// is best-effort, never a hang.
 ///
 /// Returns `None` if `scenario` does not actually fail.
-pub fn shrink_with<S: Clone, D>(
+pub fn shrink_with<S: Clone>(
     scenario: &S,
-    mut fails: impl FnMut(&S) -> Option<D>,
+    mut fails: impl FnMut(&S) -> Option<Divergence>,
     reduce: impl Fn(&S) -> Vec<S>,
-) -> Option<(S, D, u32)> {
+) -> Option<ShrinkOutcome<S>> {
     let mut best = scenario.clone();
     let mut divergence = fails(&best)?;
     let mut attempts = 0u32;
@@ -791,7 +822,19 @@ pub fn shrink_with<S: Clone, D>(
             break;
         }
     }
-    Some((best, divergence, attempts))
+    Some(ShrinkOutcome {
+        scenario: best,
+        divergence,
+        attempts,
+    })
+}
+
+/// One candidate reduction for [`shrink_with`]: a copy of `scenario`
+/// with `edit` applied.
+pub fn edited<S: Clone>(scenario: &S, edit: impl FnOnce(&mut S)) -> S {
+    let mut candidate = scenario.clone();
+    edit(&mut candidate);
+    candidate
 }
 
 /// Family-preserving single-step shrinks of a topology (a smaller shape
@@ -846,24 +889,16 @@ fn shrink_topology(t: &Topology) -> Vec<Topology> {
 fn reductions(s: &FuzzScenario) -> Vec<FuzzScenario> {
     let mut out = Vec::new();
     if s.cycles > 8 {
-        let mut c = s.clone();
-        c.cycles = (s.cycles / 2).max(8);
-        out.push(c);
+        out.push(edited(s, |c| c.cycles = (s.cycles / 2).max(8)));
     }
     if s.fault.is_some() {
-        let mut c = s.clone();
-        c.fault = None;
-        out.push(c);
+        out.push(edited(s, |c| c.fault = None));
     }
     if s.rate > 0.004 {
-        let mut c = s.clone();
-        c.rate = (s.rate * 0.5).max(0.002);
-        out.push(c);
+        out.push(edited(s, |c| c.rate = (s.rate * 0.5).max(0.002)));
     }
     if s.traffic != FuzzTraffic::Uniform {
-        let mut c = s.clone();
-        c.traffic = FuzzTraffic::Uniform;
-        out.push(c);
+        out.push(edited(s, |c| c.traffic = FuzzTraffic::Uniform));
     }
     for smaller in shrink_topology(&s.topology) {
         let mut c = s.clone();
@@ -878,35 +913,29 @@ fn reductions(s: &FuzzScenario) -> Vec<FuzzScenario> {
         out.push(c);
     }
     if s.max_length > s.min_length {
-        let mut c = s.clone();
-        c.max_length = s.min_length;
-        out.push(c);
+        out.push(edited(s, |c| c.max_length = s.min_length));
     }
     if s.min_length > 1 {
-        let mut c = s.clone();
-        c.min_length = 1;
-        c.max_length = s.max_length.clamp(1, 4);
-        out.push(c);
+        out.push(edited(s, |c| {
+            c.min_length = 1;
+            c.max_length = s.max_length.clamp(1, 4);
+        }));
     }
     if s.link_vcs > 2 {
-        let mut c = s.clone();
-        c.link_vcs = 2;
-        out.push(c);
+        out.push(edited(s, |c| c.link_vcs = 2));
     }
     if s.vc_buffer_capacity > 1 {
-        let mut c = s.clone();
-        c.vc_buffer_capacity = s.vc_buffer_capacity / 2;
-        out.push(c);
+        out.push(edited(s, |c| {
+            c.vc_buffer_capacity = s.vc_buffer_capacity / 2
+        }));
     }
     if s.injection_buffer_capacity > 1 {
-        let mut c = s.clone();
-        c.injection_buffer_capacity = s.injection_buffer_capacity / 2;
-        out.push(c);
+        out.push(edited(s, |c| {
+            c.injection_buffer_capacity = s.injection_buffer_capacity / 2
+        }));
     }
     if s.trace_capacity > 0 {
-        let mut c = s.clone();
-        c.trace_capacity = 0;
-        out.push(c);
+        out.push(edited(s, |c| c.trace_capacity = 0));
     }
     out
 }
@@ -966,7 +995,7 @@ mod tests {
                 let shrunk = shrink(&scenario, None).expect("failure must reproduce");
                 panic!(
                     "seed {seed} diverged: {d}\nminimal repro:\n{}",
-                    shrunk.repro_test()
+                    shrunk.scenario.repro_test()
                 );
             }
         }
@@ -996,7 +1025,7 @@ mod tests {
         assert!(run_scenario_mutated(&outcome.scenario, mutation).is_err());
         assert!(outcome.scenario.cycles <= scenario.cycles);
         assert!(outcome.scenario.rate <= scenario.rate);
-        let repro = outcome.repro_test();
+        let repro = outcome.scenario.repro_test();
         assert!(repro.contains("#[test]"), "{repro}");
         assert!(repro.contains("FuzzScenario"), "{repro}");
         assert!(repro.contains("seed: 1"), "{repro}");

@@ -6,15 +6,12 @@
 //! The optimized engine must be **bit-for-bit cycle-accurate**: for the
 //! same seed, workload, and fault plan it must produce identical
 //! [`FabricStats`], identical per-node delivery order, and an identical
-//! [`FaultLog`]. The equivalence tests at the bottom of this file drive
-//! both engines in lockstep and assert exactly that, across multiple
-//! seeds, topologies (2D and 3D tori), and fault plans with stalls and
-//! kills.
-//!
-//! This module is compiled only for tests, or when the `reference-engine`
-//! feature is enabled (which additionally exports [`ReferenceFabric`] for
-//! out-of-crate benchmarking, e.g. the perf harness's speedup-vs-reference
-//! measurement).
+//! [`FaultLog`]. The equivalence tests at the bottom of this file feed
+//! fixed scenarios through the differential fuzzer's lockstep driver
+//! ([`crate::fuzz::run_scenario`]), which asserts exactly that, across
+//! multiple seeds, topologies (2D and 3D tori), and fault plans with
+//! stalls and kills. [`ReferenceFabric`] is also exported for the perf
+//! harness's speedup-vs-reference measurement.
 //!
 //! Intentionally unoptimized — do not "fix" the full scans here; their
 //! slowness is the point of comparison.
@@ -130,7 +127,6 @@ impl<P> ReferenceFabric<P> {
     }
 
     /// The underlying topology.
-    #[allow(dead_code)] // for `reference-engine` feature consumers
     pub fn topology(&self) -> &Topology {
         &self.topology
     }
@@ -140,7 +136,6 @@ impl<P> ReferenceFabric<P> {
     /// # Panics
     ///
     /// Panics if the fabric was built over a non-cube topology.
-    #[allow(dead_code)] // for `reference-engine` feature consumers
     pub fn torus(&self) -> &Torus {
         self.topology.as_torus()
     }
@@ -225,7 +220,6 @@ impl<P> ReferenceFabric<P> {
     /// # Errors
     ///
     /// Propagates any [`FabricError`] raised by [`ReferenceFabric::step`].
-    #[allow(dead_code)] // for `reference-engine` feature consumers
     pub fn run_until_idle(&mut self, max_cycles: u64) -> Result<bool, FabricError> {
         for _ in 0..max_cycles {
             if self.pending.is_empty() {
@@ -630,202 +624,84 @@ enum CreditReturn {
 
 #[cfg(test)]
 mod equivalence_tests {
-    use super::ReferenceFabric;
     use crate::fault::FaultPlan;
-    use crate::rng::DetRng;
-    use crate::{Direction, Fabric, FabricConfig, Message, NodeId, Torus};
+    use crate::fuzz::{run_scenario, FaultSpec, FuzzReport, FuzzScenario, FuzzTraffic};
+    use crate::{Direction, Fabric, FabricConfig, Message, NodeId, Topology, Torus};
 
-    /// A deterministic open-loop workload: each cycle, each node may
-    /// enqueue a message to a pseudo-random destination. Returns the
-    /// injections for `cycle` so both engines see the identical schedule.
-    struct Workload {
-        rng: DetRng,
-        nodes: usize,
-        rate: f64,
-        length: u32,
-    }
-
-    impl Workload {
-        fn new(seed: u64, nodes: usize, rate: f64, length: u32) -> Self {
-            Self {
-                rng: DetRng::new(seed),
-                nodes,
-                rate,
-                length,
-            }
-        }
-
-        fn pulse(&mut self) -> Vec<Message<u64>> {
-            let mut out = Vec::new();
-            for src in 0..self.nodes {
-                if self.rng.chance(self.rate) {
-                    let dst = self.rng.index(self.nodes);
-                    let payload = self.rng.next_u64();
-                    out.push(Message::new(NodeId(src), NodeId(dst), self.length, payload));
-                }
-            }
-            out
+    /// A torus under uniform 8-flit traffic with the default fabric
+    /// configuration; each case below adjusts it.
+    fn torus(seed: u64, dims: u32, radix: usize, rate: f64, cycles: u64) -> FuzzScenario {
+        let config = FabricConfig::default();
+        FuzzScenario {
+            seed,
+            topology: Topology::cube(dims, radix),
+            traffic: FuzzTraffic::Uniform,
+            link_vcs: config.link_vcs,
+            vc_buffer_capacity: config.vc_buffer_capacity,
+            injection_buffer_capacity: config.injection_buffer_capacity,
+            trace_capacity: 0,
+            rate,
+            min_length: 8,
+            max_length: 8,
+            cycles,
+            fault: None,
         }
     }
 
-    /// Drains both engines' delivery queues and asserts identical
-    /// delivery order and contents at every node.
-    fn assert_deliveries_match(
-        opt: &mut Fabric<u64>,
-        reference: &mut ReferenceFabric<u64>,
-        nodes: usize,
-    ) {
-        for node in 0..nodes {
-            loop {
-                let a = opt.poll_delivery(NodeId(node));
-                let b = reference.poll_delivery(NodeId(node));
-                assert_eq!(a, b, "delivery mismatch at node {node}");
-                if a.is_none() {
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Runs both engines in lockstep under the same workload and fault
-    /// plan, checking stats, deliveries, and fault logs cycle for cycle.
-    fn lockstep(
-        torus: Torus,
-        config: FabricConfig,
-        plan: Option<FaultPlan>,
-        seed: u64,
-        rate: f64,
-        cycles: u64,
-    ) {
-        let nodes = torus.nodes();
-        let mut opt: Fabric<u64> = match plan.clone() {
-            Some(p) => Fabric::with_fault_plan(torus.clone(), config, p),
-            None => Fabric::new(torus.clone(), config),
-        };
-        let mut reference: ReferenceFabric<u64> = match plan {
-            Some(p) => ReferenceFabric::with_fault_plan(torus, config, p),
-            None => ReferenceFabric::new(torus.clone(), config),
-        };
-        let mut load = Workload::new(seed, nodes, rate, 8);
-        let mut mirror = Workload::new(seed, nodes, rate, 8);
-        for cycle in 0..cycles {
-            for m in load.pulse() {
-                opt.inject(m);
-            }
-            for m in mirror.pulse() {
-                reference.inject(m);
-            }
-            opt.step().unwrap();
-            reference.step().unwrap();
-            opt.assert_masks_consistent();
-            if cycle % 64 == 0 {
-                assert_eq!(
-                    opt.stats(),
-                    reference.stats(),
-                    "stats diverged at cycle {cycle}"
-                );
-            }
-        }
-        // Let in-flight traffic drain (bounded; wedged fabrics stay put).
-        for _ in 0..20_000 {
-            if opt.in_flight() == 0 && reference.in_flight() == 0 {
-                break;
-            }
-            opt.step().unwrap();
-            reference.step().unwrap();
-        }
-        assert_eq!(opt.cycle(), reference.cycle());
-        assert_eq!(opt.stats(), reference.stats(), "final stats diverged");
-        assert_eq!(opt.total_injected(), reference.total_injected());
-        assert_eq!(opt.in_flight(), reference.in_flight());
-        assert_eq!(opt.buffered_flits(), reference.buffered_flits());
-        assert_eq!(opt.activity(), reference.activity());
-        assert_eq!(
-            opt.fault_log(),
-            reference.fault_log(),
-            "fault logs diverged"
-        );
-        assert_deliveries_match(&mut opt, &mut reference, nodes);
+    /// Runs both engines in lockstep through the fuzzer's driver, which
+    /// checks stats, deliveries, and fault logs cycle for cycle.
+    fn lockstep(scenario: FuzzScenario) -> FuzzReport {
+        run_scenario(&scenario).unwrap_or_else(|d| panic!("{d}\n{}", scenario.repro_test()))
     }
 
     #[test]
     fn matches_reference_across_seeds_2d() {
         for seed in [1u64, 2, 3] {
-            lockstep(
-                Torus::new(2, 8),
-                FabricConfig::default(),
-                None,
-                seed,
-                0.03,
-                2_000,
-            );
+            lockstep(torus(seed, 2, 8, 0.03, 2_000));
         }
     }
 
     #[test]
     fn matches_reference_multi_vc_deep_buffers() {
-        lockstep(
-            Torus::new(2, 8),
-            FabricConfig {
-                link_vcs: 4,
-                vc_buffer_capacity: 16,
-                injection_buffer_capacity: 16,
-                ..FabricConfig::default()
-            },
-            None,
-            7,
-            0.05,
-            2_000,
-        );
+        lockstep(FuzzScenario {
+            link_vcs: 4,
+            vc_buffer_capacity: 16,
+            injection_buffer_capacity: 16,
+            ..torus(7, 2, 8, 0.05, 2_000)
+        });
     }
 
     /// 6 ports x 12 VCs + injection = 73 input VCs: the unrouted and
     /// requester masks span two words, so round-robin wraps across them.
     #[test]
     fn matches_reference_with_more_than_64_input_vcs() {
-        lockstep(
-            Torus::new(3, 4),
-            FabricConfig {
-                link_vcs: 12,
-                vc_buffer_capacity: 2,
-                ..FabricConfig::default()
-            },
-            None,
-            31,
-            0.3,
-            1_200,
-        );
+        lockstep(FuzzScenario {
+            link_vcs: 12,
+            vc_buffer_capacity: 2,
+            ..torus(31, 3, 4, 0.3, 1_200)
+        });
     }
 
     #[test]
     fn matches_reference_3d_torus() {
         for seed in [11u64, 12, 13] {
-            lockstep(
-                Torus::new(3, 4),
-                FabricConfig::default(),
-                None,
-                seed,
-                0.02,
-                1_500,
-            );
+            lockstep(torus(seed, 3, 4, 0.02, 1_500));
         }
     }
 
     #[test]
     fn matches_reference_under_probabilistic_faults() {
         for seed in [21u64, 22, 23] {
-            let plan = FaultPlan::new(seed)
-                .with_drop_rate(0.01)
-                .with_corrupt_rate(0.02)
-                .with_stall_rate(0.005, 40);
-            lockstep(
-                Torus::new(2, 8),
-                FabricConfig::default(),
-                Some(plan),
-                seed,
-                0.04,
-                2_500,
-            );
+            lockstep(FuzzScenario {
+                fault: Some(FaultSpec {
+                    drop_rate: 0.01,
+                    corrupt_rate: 0.02,
+                    stall_rate: 0.005,
+                    stall_window: 40,
+                    ..FaultSpec::default()
+                }),
+                ..torus(seed, 2, 8, 0.04, 2_500)
+            });
         }
     }
 
@@ -833,46 +709,33 @@ mod equivalence_tests {
     fn matches_reference_with_scheduled_stalls_and_kills() {
         // Stalls + a permanent kill: traffic through the dead link wedges
         // identically in both engines; everything else keeps moving.
-        let plan = FaultPlan::new(5)
-            .stall_router_at(300, 9, 200)
-            .stall_link_at(700, 14, 1, Direction::Minus, 150)
-            .kill_link_at(1_000, 0, 0, Direction::Plus);
-        lockstep(
-            Torus::new(2, 8),
-            FabricConfig::default(),
-            Some(plan),
-            31,
-            0.02,
-            2_500,
-        );
+        lockstep(FuzzScenario {
+            fault: Some(FaultSpec {
+                kills: vec![(1_000, 0, 0, Direction::Plus)],
+                link_stalls: vec![(700, 14, 1, Direction::Minus, 150)],
+                router_stalls: vec![(300, 9, 200)],
+                ..FaultSpec::default()
+            }),
+            ..torus(31, 2, 8, 0.02, 2_500)
+        });
     }
 
     #[test]
     fn matches_reference_saturated_fan_in() {
-        // All-to-one hotspot: maximal arbitration contention, the worst
-        // case for round-robin pointer equivalence.
-        let torus = Torus::new(2, 4);
-        let nodes = torus.nodes();
-        let mut opt: Fabric<u64> = Fabric::new(torus.clone(), FabricConfig::default());
-        let mut reference: ReferenceFabric<u64> =
-            ReferenceFabric::new(torus, FabricConfig::default());
-        for round in 0..4u64 {
-            for node in 0..nodes {
-                let m = Message::new(NodeId(node), NodeId(5), 6, round);
-                opt.inject(m.clone());
-                reference.inject(m);
-            }
-        }
-        for _ in 0..5_000 {
-            if opt.in_flight() == 0 && reference.in_flight() == 0 {
-                break;
-            }
-            opt.step().unwrap();
-            reference.step().unwrap();
-        }
-        assert_eq!(opt.in_flight(), 0);
-        assert_eq!(opt.stats(), reference.stats());
-        assert_deliveries_match(&mut opt, &mut reference, nodes);
+        // All-to-one hotspot: every node sends to node 5 on each of four
+        // cycles — maximal arbitration contention, the worst case for
+        // round-robin pointer equivalence.
+        let report = lockstep(FuzzScenario {
+            traffic: FuzzTraffic::Hotspot {
+                target: 5,
+                fraction: 1.0,
+            },
+            min_length: 6,
+            max_length: 6,
+            ..torus(0, 2, 4, 1.0, 4)
+        });
+        assert_eq!(report.injected, 64);
+        assert_eq!(report.delivered, 64);
     }
 
     #[test]

@@ -17,13 +17,14 @@ use commloc_model::{
     expected_gain, limiting_per_hop_latency, log_spaced_sizes, per_hop_latency_curve,
     MachineConfig, MessageComponents,
 };
-use commloc_net::fuzz::{self, FuzzScenario};
+use commloc_net::fuzz::{self, Divergence, FuzzScenario, ShrinkOutcome};
 use commloc_net::Topology;
 use commloc_sim::conformance::figures::{
     default_golden_dir, load_golden, resilience_degradation_detail, resilience_wave_detail,
     self_check, store_golden, ConformanceRun, FIGURES,
 };
 use commloc_sim::conformance::{rel_err, suite_jobs, GoldenTable, Violation};
+use commloc_sim::fuzz::{self as machine_fuzz, MachineScenario};
 use commloc_sim::{
     default_jobs, mapping_suite, model_profile, parallel_map, run_cached_sweep, run_experiment,
     run_sharded_experiment, set_job_budget, topology_mapping_suite, ConfigError, Machine, Mapping,
@@ -1026,6 +1027,12 @@ fn cmd_resilience(options: &HashMap<String, String>) -> Result<(), String> {
     finish_gate("resilience", &tables, &violations, update, csv, &dir)
 }
 
+/// `commloc fuzz`: fabric lockstep (optimized `Fabric` against the naive
+/// `ReferenceFabric`) over a seed range, or with `--machine` full-machine
+/// lockstep (the active-node engine against exhaustive reference
+/// stepping, bit-exact on completions, measurements, latency breakdowns,
+/// fault logs, and watchdog trips). Either way the first failing seed
+/// shrinks to a minimal scenario and prints a ready-to-paste repro test.
 fn cmd_fuzz(options: &HashMap<String, String>) -> Result<(), String> {
     let seeds = get_u64(options, "seeds", 100)?;
     if seeds == 0 {
@@ -1033,108 +1040,77 @@ fn cmd_fuzz(options: &HashMap<String, String>) -> Result<(), String> {
     }
     let start = get_u64(options, "start", 0)?;
     let jobs = get_jobs(options)?;
-    if options.contains_key("machine") {
-        return run_machine_fuzz(seeds, start, jobs);
-    }
-    let list: Vec<u64> = (start..start.saturating_add(seeds)).collect();
+    let end = start.saturating_add(seeds);
+    let list: Vec<u64> = (start..end).collect();
     let began = std::time::Instant::now();
-    let results = parallel_map(&list, jobs, |&seed| (seed, fuzz::run_seed(seed)));
-    let mut totals = fuzz::FuzzReport::default();
-    for (seed, result) in results {
+    if options.contains_key("machine") {
+        let reports = fuzz_sweep(
+            &list,
+            jobs,
+            machine_fuzz::run_seed,
+            |seed| machine_fuzz::shrink(&MachineScenario::from_seed(seed), None),
+            MachineScenario::repro_test,
+        )?;
+        println!(
+            "fuzz --machine: {seeds} seeds [{start}..{end}) lockstep-clean in {:.1}s — {} \
+             transactions completed, {} watchdog stalls matched bit-exactly, {} net cycles per \
+             engine",
+            began.elapsed().as_secs_f64(),
+            reports.iter().map(|r| r.completions).sum::<u64>(),
+            reports.iter().filter(|r| r.stalled).count(),
+            reports.iter().map(|r| r.net_cycles).sum::<u64>(),
+        );
+    } else {
+        let reports = fuzz_sweep(
+            &list,
+            jobs,
+            fuzz::run_seed,
+            |seed| fuzz::shrink(&FuzzScenario::from_seed(seed), None),
+            FuzzScenario::repro_test,
+        )?;
+        let sum = |field: fn(&fuzz::FuzzReport) -> u64| reports.iter().map(field).sum::<u64>();
+        println!(
+            "fuzz: {seeds} seeds [{start}..{end}) clean in {:.1}s — {} messages injected, {} \
+             delivered, {} dropped, {} wedged, {} engine cycles",
+            began.elapsed().as_secs_f64(),
+            sum(|r| r.injected),
+            sum(|r| r.delivered),
+            sum(|r| r.dropped),
+            sum(|r| r.wedged),
+            sum(|r| r.cycles),
+        );
+    }
+    Ok(())
+}
+
+/// Runs one differential sweep over `seeds` in parallel and returns the
+/// per-seed reports. The first divergence (in seed order) is shrunk and
+/// printed as a ready-to-paste `repro` test before the sweep fails.
+fn fuzz_sweep<R: Send, S>(
+    seeds: &[u64],
+    jobs: usize,
+    run: impl Fn(u64) -> Result<R, Divergence> + Sync,
+    shrink: impl Fn(u64) -> Option<ShrinkOutcome<S>>,
+    repro: impl Fn(&S) -> String,
+) -> Result<Vec<R>, String> {
+    let mut reports = Vec::with_capacity(seeds.len());
+    for (seed, result) in parallel_map(seeds, jobs, |&seed| (seed, run(seed))) {
         match result {
-            Ok(report) => {
-                totals.injected += report.injected;
-                totals.delivered += report.delivered;
-                totals.dropped += report.dropped;
-                totals.wedged += report.wedged;
-                totals.cycles += report.cycles;
-            }
+            Ok(report) => reports.push(report),
             Err(divergence) => {
                 eprintln!("seed {seed} diverged: {divergence}");
-                if let Some(outcome) = fuzz::shrink(&FuzzScenario::from_seed(seed), None) {
+                if let Some(outcome) = shrink(seed) {
                     eprintln!(
                         "minimal failing scenario after {} shrink attempts ({}):",
                         outcome.attempts, outcome.divergence
                     );
-                    eprintln!("{}", outcome.repro_test());
+                    eprintln!("{}", repro(&outcome.scenario));
                 }
                 return Err(format!("differential divergence at seed {seed}"));
             }
         }
     }
-    println!(
-        "fuzz: {} seeds [{start}..{}) clean in {:.1}s — {} messages injected, {} delivered, \
-         {} dropped, {} wedged, {} engine cycles",
-        seeds,
-        start.saturating_add(seeds),
-        began.elapsed().as_secs_f64(),
-        totals.injected,
-        totals.delivered,
-        totals.dropped,
-        totals.wedged,
-        totals.cycles
-    );
-    Ok(())
-}
-
-/// `commloc fuzz --machine`: full-machine lockstep over a seed range —
-/// the active-node engine against exhaustive reference stepping, with
-/// bit-exact checks on completions, measurements, latency breakdowns,
-/// fault logs, and watchdog trips. Failing seeds shrink to a minimal
-/// scenario and print a ready-to-paste repro test.
-#[cfg(feature = "reference-engine")]
-fn run_machine_fuzz(seeds: u64, start: u64, jobs: usize) -> Result<(), String> {
-    use commloc_sim::fuzz as machine_fuzz;
-    let list: Vec<u64> = (start..start.saturating_add(seeds)).collect();
-    let began = std::time::Instant::now();
-    let results = parallel_map(&list, jobs, |&seed| (seed, machine_fuzz::run_seed(seed)));
-    let mut completions = 0u64;
-    let mut net_cycles = 0u64;
-    let mut stalls = 0u64;
-    for (seed, result) in results {
-        match result {
-            Ok(report) => {
-                completions += report.completions;
-                net_cycles += report.net_cycles;
-                stalls += u64::from(report.stalled);
-            }
-            Err(divergence) => {
-                eprintln!("seed {seed} diverged: {divergence}");
-                let scenario = machine_fuzz::MachineScenario::from_seed(seed);
-                if let Some(outcome) = machine_fuzz::shrink(&scenario, None) {
-                    eprintln!(
-                        "minimal failing scenario after {} shrink attempts ({}):",
-                        outcome.attempts, outcome.divergence
-                    );
-                    eprintln!("{}", outcome.repro_test());
-                }
-                return Err(format!("machine-lockstep divergence at seed {seed}"));
-            }
-        }
-    }
-    println!(
-        "fuzz --machine: {} seeds [{start}..{}) lockstep-clean in {:.1}s — {} transactions \
-         completed, {} watchdog stalls matched bit-exactly, {} net cycles per engine",
-        seeds,
-        start.saturating_add(seeds),
-        began.elapsed().as_secs_f64(),
-        completions,
-        stalls,
-        net_cycles
-    );
-    Ok(())
-}
-
-/// Without the `reference-engine` feature the reference stepping mode is
-/// compiled out, so machine lockstep cannot run.
-#[cfg(not(feature = "reference-engine"))]
-fn run_machine_fuzz(_seeds: u64, _start: u64, _jobs: usize) -> Result<(), String> {
-    Err(
-        "--machine requires the `reference-engine` feature; rebuild with \
-         `cargo build --release --features commloc-sim/reference-engine` \
-         (full workspace builds enable it through commloc-bench)"
-            .into(),
-    )
+    Ok(reports)
 }
 
 fn err(e: commloc_model::ModelError) -> String {

@@ -16,7 +16,9 @@ use super::tolerances::{
     self, FIG8_FIXED_SHARE_RANGE, GAIN_1K_RANGE, GAIN_1M_RANGE, LIMITING_LATENCY,
     LIMITING_LATENCY_TOL, MODEL_VS_SIM_LATENCY_GAP, MODEL_VS_SIM_RATE, SLOPE_RATIO_P2_OVER_P1,
 };
-use super::{calibrated_model, fit_message_curve, reduced_runs, ValidationRun, SUITE_SEED};
+use super::{
+    calibrated_model, fit_message_curve, reduced_runs, suite_config, ValidationRun, SUITE_SEED,
+};
 use crate::disturbance::DisturbanceConfig;
 use crate::machine::{run_experiment, SimConfig};
 use crate::mapping::Mapping;
@@ -276,6 +278,9 @@ fn topology_gain() -> Result<GoldenTable, String> {
             topology: Some(topology.clone()),
             ..SimConfig::default()
         };
+        config
+            .validate()
+            .map_err(|e| format!("topology-gain {label}: {e}"))?;
         let compute = topology.compute_nodes();
         let ident = run_experiment(
             &config,
@@ -342,18 +347,15 @@ pub fn resilience_wave_detail() -> Result<(Vec<(String, IdleWave)>, GoldenTable)
         ("random", Mapping::random(64, SUITE_SEED)),
     ] {
         for contexts in SIM_CONTEXTS {
+            let label = format!("{map_name}/p{contexts}");
             let config = DisturbanceConfig {
-                sim: SimConfig {
-                    contexts,
-                    ..SimConfig::default()
-                },
+                sim: suite_config(contexts).map_err(|e| format!("resilience-wave {label}: {e}"))?,
                 victim: 27,
                 inject_cycle: 6_000,
                 stall_window: 1_000,
                 horizon: 18_000,
                 bucket: 1_000,
             };
-            let label = format!("{map_name}/p{contexts}");
             let wave = run_idle_wave(&config, &mapping)
                 .map_err(|e| format!("resilience-wave {label}: {e}"))?;
             let stall_end = config.inject_cycle + config.stall_window;
@@ -422,11 +424,14 @@ fn resilience_degradation() -> Result<GoldenTable, String> {
 ///
 /// Returns a message when the sweep fails.
 pub fn resilience_degradation_detail() -> Result<(Vec<DegradationPoint>, GoldenTable), String> {
+    let sim = SimConfig {
+        watchdog_cycles: 0,
+        ..SimConfig::default()
+    };
+    sim.validate()
+        .map_err(|e| format!("resilience-degradation: {e}"))?;
     let config = DegradationConfig {
-        sim: SimConfig {
-            watchdog_cycles: 0,
-            ..SimConfig::default()
-        },
+        sim,
         max_kills: 3,
         kill_cycle: 3_000,
         horizon: 24_000,

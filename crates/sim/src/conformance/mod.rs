@@ -31,7 +31,8 @@ pub use golden::{rel_err, GoldenRow, GoldenTable, Violation};
 
 use crate::NamedMapping;
 use crate::{
-    fit_line, mapping_suite, run_cached_sweep, FitError, LineFit, Measurements, SimConfig,
+    fit_line, mapping_suite, run_cached_sweep, ConfigError, FitError, LineFit, Measurements,
+    SimConfig,
 };
 use commloc_model::{
     ApplicationModel, CombinedModel, EndpointContention, NetworkModel, NodeModel, TorusGeometry,
@@ -94,16 +95,25 @@ pub fn suite_jobs() -> Result<usize, String> {
     }
 }
 
+/// The paper's Section 3 machine at `contexts` contexts — the
+/// configuration every validation-suite scenario runs — checked by
+/// [`SimConfig::validate`].
+fn suite_config(contexts: usize) -> Result<SimConfig, ConfigError> {
+    let config = SimConfig {
+        contexts,
+        ..SimConfig::default()
+    };
+    config.validate()?;
+    Ok(config)
+}
+
 /// Runs the full validation suite (all mappings, full windows) at one
 /// context count, fanning the independent simulations across
 /// [`suite_jobs`] threads. Routes through the process-wide scenario
 /// cache ([`crate::run_cached_sweep`]), so repeated calls in one process
 /// are served bit-identically without re-simulating.
 pub fn validation_runs(contexts: usize) -> Vec<ValidationRun> {
-    let config = SimConfig {
-        contexts,
-        ..SimConfig::default()
-    };
+    let config = suite_config(contexts).expect("validation suite config");
     let torus = Torus::new(config.dims, config.radix);
     let suite = mapping_suite(&torus, SUITE_SEED);
     let jobs = suite_jobs().expect("invalid COMMLOC_JOBS");
@@ -133,10 +143,7 @@ pub fn reduced_suite(torus: &Torus, seed: u64) -> Vec<NamedMapping> {
 /// Runs the reduced conformance sweep at one context count across `jobs`
 /// threads. Deterministic: same seed, mappings, and windows every call.
 pub fn reduced_runs(contexts: usize, jobs: usize) -> Vec<ValidationRun> {
-    let config = SimConfig {
-        contexts,
-        ..SimConfig::default()
-    };
+    let config = suite_config(contexts).expect("conformance suite config");
     let torus = Torus::new(config.dims, config.radix);
     let suite = reduced_suite(&torus, SUITE_SEED);
     run_cached_sweep(&config, &suite, REDUCED_WARMUP, REDUCED_WINDOW, jobs)

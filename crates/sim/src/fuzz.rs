@@ -12,19 +12,25 @@
 //! latency breakdowns, fault logs, and — when the scenario wedges — the
 //! watchdog's stall report, down to the trip cycle.
 //!
-//! Failing seeds shrink through the same greedy fixed-point loop as the
-//! fabric fuzzer ([`commloc_net::fuzz::shrink_with`]) and render a
-//! ready-to-paste repro test. The `commloc fuzz --machine --seeds N`
-//! subcommand drives sweeps from CI.
+//! This module holds only what is specific to a machine: the scenario,
+//! its lockstep driver and its reductions. The fault-plan draw, the
+//! divergence check, the greedy fixed-point shrinker and the literal
+//! printers are the fabric fuzzer's ([`commloc_net::fuzz`]). Failing
+//! seeds shrink to a ready-to-paste repro test; the
+//! `commloc fuzz --machine --seeds N` subcommand drives sweeps from CI.
 
+use crate::error::ConfigError;
 use crate::machine::{Machine, SimConfig};
 use crate::mapping::Mapping;
 use crate::resilience::MigrationSpec;
 use crate::shard::ShardedMachine;
 use crate::workload::Workload;
 use commloc_mem::MemConfig;
-use commloc_net::fuzz::{shrink_with, Divergence, FaultSpec};
-use commloc_net::{DetRng, Direction, FabricConfig, Topology};
+use commloc_net::check_eq;
+use commloc_net::fuzz::{
+    edited, fault_expr, shrink_with, topology_expr, Divergence, FaultOdds, FaultSpec, ShrinkOutcome,
+};
+use commloc_net::{DetRng, FabricConfig, Topology};
 
 /// Domain-separation constant so machine-scenario generation never shares
 /// a stream with the fabric fuzzer or the workloads.
@@ -33,6 +39,24 @@ const SCENARIO_SALT: u64 = 0x7E57_AC71_0EB1_05ED;
 /// Lockstep comparison interval in network cycles: long enough to
 /// amortize the checks, short enough to localize a divergence.
 const CHECK_INTERVAL: u64 = 128;
+
+/// The machine fuzzer's fault mix: sparser rates than the fabric
+/// fuzzer's, with longer scheduled stalls.
+const FAULT_ODDS: FaultOdds = FaultOdds {
+    plan: 0.4,
+    drop: (0.5, 0.01),
+    corrupt: (0.3, 0.01),
+    stall: (0.3, 0.002),
+    stall_window: (10, 120),
+    kill: 0.3,
+    link_stall: 0.25,
+    router_stall: 0.25,
+    stall_length: (50, 600),
+};
+
+/// Engine labels of the two lockstep comparisons.
+const REFERENCE: (&str, &str) = ("active", "reference");
+const SHARDED: (&str, &str) = ("active", "sharded");
 
 /// Which thread-to-processor mapping a scenario uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,33 +67,6 @@ pub enum MappingKind {
     Random(u64),
     /// Identity perturbed by a seeded number of random swaps.
     Swaps(u64),
-}
-
-/// Which traffic-generating workload a scenario runs. A plain-data
-/// mirror of [`Workload`] without the trace variant (traces carry file
-/// content; the fuzzer sticks to the synthetic generators).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkloadKind {
-    /// Every thread exchanges with its application-graph neighbors.
-    Neighbor,
-    /// All threads hammer the first `targets` threads' state.
-    Hotspot {
-        /// Number of hot threads.
-        targets: usize,
-    },
-    /// Thread `i` exchanges with its matrix-transpose peer.
-    Transpose,
-}
-
-impl WorkloadKind {
-    /// The [`Workload`] this kind describes.
-    pub fn build(self) -> Workload {
-        match self {
-            WorkloadKind::Neighbor => Workload::Neighbor,
-            WorkloadKind::Hotspot { targets } => Workload::Hotspot { targets },
-            WorkloadKind::Transpose => Workload::Transpose,
-        }
-    }
 }
 
 /// One randomly drawn machine-level differential-test case. All fields
@@ -120,8 +117,9 @@ pub struct MachineScenario {
     /// Scheduled `(dim, direction)`-addressed faults and migration
     /// policies are cube-only and are never drawn alongside this.
     pub topology: Option<Topology>,
-    /// The traffic-generating workload both engines run.
-    pub workload: WorkloadKind,
+    /// The traffic-generating workload both engines run (never a trace:
+    /// the fuzzer sticks to the synthetic generators).
+    pub workload: Workload,
 }
 
 impl MachineScenario {
@@ -164,11 +162,11 @@ impl MachineScenario {
         // shard clamping; compute count only matters for the mapping.
         let routers = topology.as_ref().map_or(nodes, Topology::nodes);
         let workload = match rng.index(6) {
-            0..=2 => WorkloadKind::Neighbor,
-            3 | 4 => WorkloadKind::Hotspot {
+            0..=2 => Workload::Neighbor,
+            3 | 4 => Workload::Hotspot {
                 targets: 1 + rng.index(3),
             },
-            _ => WorkloadKind::Transpose,
+            _ => Workload::Transpose,
         };
         let mapping = match rng.index(3) {
             0 => MappingKind::Identity,
@@ -178,76 +176,16 @@ impl MachineScenario {
         let trace_capacity = if rng.chance(0.3) { 32 } else { 0 };
         let warmup = rng.range_u64(200, 1_200);
         let window = rng.range_u64(800, 3_000);
-        let fault = if rng.chance(0.4) {
-            let mut spec = FaultSpec {
-                drop_rate: if rng.chance(0.5) {
-                    rng.range_f64(0.0, 0.01)
-                } else {
-                    0.0
-                },
-                corrupt_rate: if rng.chance(0.3) {
-                    rng.range_f64(0.0, 0.01)
-                } else {
-                    0.0
-                },
-                stall_rate: if rng.chance(0.3) {
-                    rng.range_f64(0.0, 0.002)
-                } else {
-                    0.0
-                },
-                stall_window: rng.range_u64(10, 120),
-                kills: Vec::new(),
-                link_stalls: Vec::new(),
-                router_stalls: Vec::new(),
-            };
-            let horizon = warmup + window;
-            // Scheduled kills and link stalls are addressed by
-            // `(dim, direction)` — torus coordinates — so they are only
-            // drawn for cube scenarios.
-            if topology.is_none() && rng.chance(0.3) {
-                spec.kills.push((
-                    rng.range_u64(1, horizon),
-                    rng.index(nodes),
-                    rng.index(dims as usize) as u32,
-                    if rng.chance(0.5) {
-                        Direction::Plus
-                    } else {
-                        Direction::Minus
-                    },
-                ));
-            }
-            if topology.is_none() && rng.chance(0.25) {
-                spec.link_stalls.push((
-                    rng.range_u64(1, horizon),
-                    rng.index(nodes),
-                    rng.index(dims as usize) as u32,
-                    if rng.chance(0.5) {
-                        Direction::Plus
-                    } else {
-                        Direction::Minus
-                    },
-                    rng.range_u64(50, 600),
-                ));
-            }
-            if rng.chance(0.25) {
-                spec.router_stalls.push((
-                    rng.range_u64(1, horizon),
-                    rng.index(routers),
-                    rng.range_u64(50, 600),
-                ));
-            }
-            if spec.is_empty() {
-                None
-            } else {
-                Some(spec)
-            }
-        } else {
-            None
-        };
+        let mut fault = FaultSpec::draw(
+            &mut rng,
+            &FAULT_ODDS,
+            warmup + window,
+            routers,
+            topology.is_none().then_some(dims),
+        );
         // One-off delay events beyond the plan drawn above: a single
         // exact-cycle router stall, the resilience subsystem's injector
         // shape, composed onto whatever ambient faults exist.
-        let mut fault = fault;
         if rng.chance(0.3) {
             let delay = (
                 rng.range_u64(1, warmup + window),
@@ -255,15 +193,7 @@ impl MachineScenario {
                 rng.range_u64(20, 400),
             );
             fault
-                .get_or_insert_with(|| FaultSpec {
-                    drop_rate: 0.0,
-                    corrupt_rate: 0.0,
-                    stall_rate: 0.0,
-                    stall_window: 0,
-                    kills: Vec::new(),
-                    link_stalls: Vec::new(),
-                    router_stalls: Vec::new(),
-                })
+                .get_or_insert_with(FaultSpec::default)
                 .router_stalls
                 .push(delay);
         }
@@ -314,19 +244,15 @@ impl MachineScenario {
 
     /// Number of compute nodes (the mapping's thread count).
     pub fn nodes(&self) -> usize {
-        match &self.topology {
-            Some(t) => t.compute_nodes(),
-            None => self.radix.pow(self.dims),
-        }
+        let cube = self.radix.pow(self.dims);
+        self.topology.as_ref().map_or(cube, Topology::compute_nodes)
     }
 
     /// Total router count, switches included (bounds shard counts and
     /// node-addressed fault sites).
     pub fn total_nodes(&self) -> usize {
-        match &self.topology {
-            Some(t) => t.nodes(),
-            None => self.radix.pow(self.dims),
-        }
+        let cube = self.radix.pow(self.dims);
+        self.topology.as_ref().map_or(cube, Topology::nodes)
     }
 
     /// The mapping object this scenario describes.
@@ -339,11 +265,16 @@ impl MachineScenario {
         }
     }
 
-    /// The simulation configuration, with tracing enabled only when
-    /// `traced` (the differential pair runs traced-active against
-    /// untraced-reference to prove tracing is behavior-neutral).
-    fn sim_config(&self, traced: bool) -> SimConfig {
-        SimConfig {
+    /// The simulation configuration, checked by [`SimConfig::validate`],
+    /// with tracing enabled only when `traced` (the differential pair runs
+    /// traced-active against untraced-reference to prove tracing is
+    /// behavior-neutral).
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ConfigError`] of a scenario no machine accepts.
+    pub fn sim_config(&self, traced: bool) -> Result<SimConfig, ConfigError> {
+        let config = SimConfig {
             dims: self.dims,
             radix: self.radix,
             contexts: self.contexts,
@@ -364,8 +295,10 @@ impl MachineScenario {
             watchdog_cycles: self.watchdog_cycles,
             fault_plan: self.fault.as_ref().map(|spec| spec.build(self.seed)),
             topology: self.topology.clone(),
-            workload: self.workload.build(),
-        }
+            workload: self.workload.clone(),
+        };
+        config.validate()?;
+        Ok(config)
     }
 }
 
@@ -387,30 +320,6 @@ pub struct MachineFuzzReport {
     pub net_cycles: u64,
     /// Whether the run ended in a (bit-identical) watchdog stall.
     pub stalled: bool,
-}
-
-macro_rules! check_eq {
-    ($cycle:expr, $a:expr, $b:expr, $what:expr) => {
-        if $a != $b {
-            return Err(Divergence {
-                cycle: $cycle,
-                what: format!("{}: active {:?} != reference {:?}", $what, $a, $b),
-            });
-        }
-    };
-}
-
-/// Like [`check_eq`] but for the third, shard-parallel engine, compared
-/// against the active one.
-macro_rules! check_shard {
-    ($cycle:expr, $a:expr, $b:expr, $what:expr) => {
-        if $a != $b {
-            return Err(Divergence {
-                cycle: $cycle,
-                what: format!("{}: active {:?} != sharded {:?}", $what, $a, $b),
-            });
-        }
-    };
 }
 
 /// Runs one seed's lockstep differential check.
@@ -443,12 +352,18 @@ pub fn run_scenario_mutated(
     scenario: &MachineScenario,
     mutation: Option<MachineMutation>,
 ) -> Result<MachineFuzzReport, Divergence> {
+    let config = |traced| {
+        scenario.sim_config(traced).map_err(|e| Divergence {
+            cycle: None,
+            what: format!("invalid scenario: {e}"),
+        })
+    };
     let mapping = scenario.build_mapping();
-    let mut ref_config = scenario.sim_config(false);
+    let mut ref_config = config(false)?;
     if mutation == Some(MachineMutation::SkewWork) {
         ref_config.work += 1;
     }
-    let active_config = scenario.sim_config(true);
+    let active_config = config(true)?;
     let mut active = match scenario.migration {
         Some(spec) => Machine::with_policy(&active_config, &mapping, spec.build()),
         None => Machine::new(&active_config, &mapping),
@@ -463,7 +378,7 @@ pub fn run_scenario_mutated(
     // itself already fans out across seeds).
     let mut sharded = if scenario.shards > 1 && scenario.migration.is_none() {
         Some(ShardedMachine::new(
-            &scenario.sim_config(false),
+            &config(false)?,
             &mapping,
             scenario.shards,
         ))
@@ -479,17 +394,14 @@ pub fn run_scenario_mutated(
             let ra = active.run_network_cycles(chunk);
             let rb = reference.run_network_cycles(chunk);
             let now = Some(active.net_cycle());
-            check_eq!(now, ra, rb, format!("{name} step result"));
-            check_eq!(
-                now,
-                active.net_cycle(),
-                reference.net_cycle(),
-                "network clock"
-            );
+            check_eq!(REFERENCE, now;
+                ra, rb, format!("{name} step result");
+                active.net_cycle(), reference.net_cycle(), "network clock");
             if let Some(shard) = sharded.as_mut() {
                 let rs = shard.run_network_cycles(chunk);
-                check_shard!(now, ra, rs, format!("{name} step result"));
-                check_shard!(now, active.net_cycle(), shard.net_cycle(), "network clock");
+                check_eq!(SHARDED, now;
+                    ra, rs, format!("{name} step result");
+                    active.net_cycle(), shard.net_cycle(), "network clock");
             }
             if ra.is_err() {
                 // All engines stalled with the identical report: the run
@@ -497,39 +409,18 @@ pub fn run_scenario_mutated(
                 stalled = true;
                 break 'phases;
             }
-            check_eq!(
-                now,
-                active.completions(),
-                reference.completions(),
-                "completions"
-            );
-            check_eq!(
-                now,
-                active.completions_per_node(),
-                reference.completions_per_node(),
-                "per-node completions"
-            );
-            check_eq!(now, active.measure(), reference.measure(), "measurements");
-            check_eq!(
-                now,
-                active.migrations(),
-                reference.migrations(),
-                "migrations"
-            );
+            check_eq!(REFERENCE, now;
+                active.completions(), reference.completions(), "completions";
+                active.completions_per_node(), reference.completions_per_node(),
+                "per-node completions";
+                active.measure(), reference.measure(), "measurements";
+                active.migrations(), reference.migrations(), "migrations");
             if let Some(shard) = sharded.as_ref() {
-                check_shard!(
-                    now,
-                    active.completions(),
-                    shard.completions(),
-                    "completions"
-                );
-                check_shard!(
-                    now,
-                    active.completions_per_node().to_vec(),
-                    shard.completions_per_node(),
-                    "per-node completions"
-                );
-                check_shard!(now, active.measure(), shard.measure(), "measurements");
+                check_eq!(SHARDED, now;
+                    active.completions(), shard.completions(), "completions";
+                    active.completions_per_node().to_vec(), shard.completions_per_node(),
+                    "per-node completions";
+                    active.measure(), shard.measure(), "measurements");
             }
             left -= chunk;
         }
@@ -543,50 +434,17 @@ pub fn run_scenario_mutated(
     }
 
     let end = Some(active.net_cycle());
-    check_eq!(
-        end,
-        active.latency_breakdown(),
-        reference.latency_breakdown(),
-        "latency breakdown"
-    );
-    check_eq!(end, active.fault_log(), reference.fault_log(), "fault log");
-    check_eq!(
-        end,
-        active.total_iterations(),
-        reference.total_iterations(),
-        "workload iterations"
-    );
-    check_eq!(
-        end,
-        active.migrations(),
-        reference.migrations(),
-        "migrations"
-    );
-    check_eq!(
-        end,
-        active.migrated_from_nodes(),
-        reference.migrated_from_nodes(),
-        "migrated-from nodes"
-    );
+    check_eq!(REFERENCE, end;
+        active.latency_breakdown(), reference.latency_breakdown(), "latency breakdown";
+        active.fault_log(), reference.fault_log(), "fault log";
+        active.total_iterations(), reference.total_iterations(), "workload iterations";
+        active.migrations(), reference.migrations(), "migrations";
+        active.migrated_from_nodes(), reference.migrated_from_nodes(), "migrated-from nodes");
     if let Some(shard) = sharded.as_ref() {
-        check_shard!(
-            end,
-            active.latency_breakdown(),
-            &shard.latency_breakdown(),
-            "latency breakdown"
-        );
-        check_shard!(
-            end,
-            active.fault_log().cloned(),
-            shard.fault_log(),
-            "fault log"
-        );
-        check_shard!(
-            end,
-            active.total_iterations(),
-            shard.total_iterations(),
-            "workload iterations"
-        );
+        check_eq!(SHARDED, end;
+            active.latency_breakdown(), &shard.latency_breakdown(), "latency breakdown";
+            active.fault_log().cloned(), shard.fault_log(), "fault log";
+            active.total_iterations(), shard.total_iterations(), "workload iterations");
     }
     Ok(MachineFuzzReport {
         completions: active.completions(),
@@ -595,104 +453,51 @@ pub fn run_scenario_mutated(
     })
 }
 
-/// Result of shrinking a failing machine scenario to a minimal one.
-#[derive(Debug, Clone)]
-pub struct MachineShrinkOutcome {
-    /// The minimal failing scenario found.
-    pub scenario: MachineScenario,
-    /// Its divergence.
-    pub divergence: Divergence,
-    /// Candidate scenarios tried during shrinking.
-    pub attempts: u32,
-}
-
-impl MachineShrinkOutcome {
-    /// Renders a ready-to-paste `#[test]` that replays the minimal
-    /// failing scenario (paste into a crate depending on `commloc-sim`
-    /// with the `reference-engine` feature).
+impl MachineScenario {
+    /// Renders a ready-to-paste `#[test]` that replays this scenario
+    /// (paste into a crate depending on `commloc-sim` and `commloc-net`).
     pub fn repro_test(&self) -> String {
-        let s = &self.scenario;
-        let fault = match &s.fault {
-            None => "None".to_owned(),
-            Some(f) => format!(
-                "Some(FaultSpec {{\n            drop_rate: {:?},\n            corrupt_rate: {:?},\n            \
-                 stall_rate: {:?},\n            stall_window: {},\n            kills: vec!{:?},\n            \
-                 link_stalls: vec!{:?},\n            router_stalls: vec!{:?},\n        }})",
-                f.drop_rate,
-                f.corrupt_rate,
-                f.stall_rate,
-                f.stall_window,
-                f.kills,
-                f.link_stalls,
-                f.router_stalls
-            ),
-        };
-        let migration = match &s.migration {
-            None => "None".to_owned(),
-            Some(m) => format!(
-                "Some(MigrationSpec {{\n            stealing: {},\n            steal_latency: {},\n            \
-                 wedge_threshold: {},\n            max_migrations: {},\n        }})",
-                m.stealing, m.steal_latency, m.wedge_threshold, m.max_migrations
-            ),
-        };
-        let topology = match &s.topology {
-            None => "None".to_owned(),
-            Some(t) => format!("Some({})", topology_expr(t)),
-        };
         format!(
             "#[test]\nfn machine_fuzz_repro_seed_{seed}() {{\n    \
-             use commloc_sim::fuzz::{{run_scenario, MachineScenario, MappingKind, WorkloadKind}};\n    \
-             use commloc_sim::MigrationSpec;\n    \
-             use commloc_net::fuzz::FaultSpec;\n    use commloc_net::{{Direction, Topology}};\n    \
-             let _ = &Direction::Plus; // used by fault literals\n    \
-             let _: Option<MigrationSpec> = None; // used by migration literals\n    \
-             let _: Option<Topology> = None; // used by topology literals\n    \
+             use commloc_sim::fuzz::{{run_scenario, MachineScenario, MappingKind}};\n    \
+             use commloc_sim::{{MigrationSpec, Workload}};\n    \
+             use commloc_net::fuzz::FaultSpec;\n    use commloc_net::Direction::{{Minus, Plus}};\n    \
+             use commloc_net::Topology;\n    \
+             // Used by the fault, migration and topology literals.\n    \
+             let _: (Option<FaultSpec>, [_; 2]) = (None, [Minus, Plus]);\n    \
+             let _: (Option<MigrationSpec>, Option<Topology>) = (None, None);\n    \
              let scenario = MachineScenario {{\n        seed: {seed},\n        dims: {dims},\n        \
              radix: {radix},\n        contexts: {contexts},\n        clock_ratio: {ratio},\n        \
              switch_cycles: {switch},\n        work: {work},\n        timeout_cycles: {timeout},\n        \
              max_retries: {retries},\n        watchdog_cycles: {watchdog},\n        \
              mapping: MappingKind::{mapping:?},\n        trace_capacity: {tcap},\n        \
              warmup: {warmup},\n        window: {window},\n        fault: {fault},\n        \
-             migration: {migration},\n        shards: {shards},\n        topology: {topology},\n        \
-             workload: WorkloadKind::{workload:?},\n    }};\n    \
+             migration: {migration:?},\n        shards: {shards},\n        topology: {topology},\n        \
+             workload: Workload::{workload:?},\n    }};\n    \
              run_scenario(&scenario).expect(\"active and reference machines must agree\");\n}}\n",
-            seed = s.seed,
-            dims = s.dims,
-            radix = s.radix,
-            contexts = s.contexts,
-            ratio = s.clock_ratio,
-            switch = s.switch_cycles,
-            work = s.work,
-            timeout = s.timeout_cycles,
-            retries = s.max_retries,
-            watchdog = s.watchdog_cycles,
-            mapping = s.mapping,
-            tcap = s.trace_capacity,
-            warmup = s.warmup,
-            window = s.window,
-            fault = fault,
-            shards = s.shards,
-            topology = topology,
-            workload = s.workload,
+            seed = self.seed,
+            dims = self.dims,
+            radix = self.radix,
+            contexts = self.contexts,
+            ratio = self.clock_ratio,
+            switch = self.switch_cycles,
+            work = self.work,
+            timeout = self.timeout_cycles,
+            retries = self.max_retries,
+            watchdog = self.watchdog_cycles,
+            mapping = self.mapping,
+            tcap = self.trace_capacity,
+            warmup = self.warmup,
+            window = self.window,
+            fault = fault_expr(self.fault.as_ref()),
+            migration = self.migration,
+            shards = self.shards,
+            topology = self
+                .topology
+                .as_ref()
+                .map_or_else(|| "None".to_owned(), |t| format!("Some({})", topology_expr(t))),
+            workload = self.workload,
         )
-    }
-}
-
-/// Renders a topology as the constructor expression that recreates it,
-/// for ready-to-paste repro tests.
-fn topology_expr(t: &Topology) -> String {
-    match t {
-        Topology::Cube(c) => format!("Topology::cube({}, {})", c.dims(), c.radix()),
-        Topology::Mesh(m) => {
-            let (x, y) = m.shape();
-            format!("Topology::mesh({x}, {y})")
-        }
-        Topology::FatTree(f) => format!("Topology::fat_tree({}, {})", f.arity(), f.levels()),
-        Topology::Dragonfly(d) => format!(
-            "Topology::dragonfly({}, {})",
-            d.routers_per_group(),
-            d.globals_per_router()
-        ),
     }
 }
 
@@ -704,122 +509,83 @@ fn topology_expr(t: &Topology) -> String {
 pub fn shrink(
     scenario: &MachineScenario,
     mutation: Option<MachineMutation>,
-) -> Option<MachineShrinkOutcome> {
-    let (scenario, divergence, attempts) = shrink_with(
+) -> Option<ShrinkOutcome<MachineScenario>> {
+    shrink_with(
         scenario,
         |s| run_scenario_mutated(s, mutation).err(),
         reductions,
-    )?;
-    Some(MachineShrinkOutcome {
-        scenario,
-        divergence,
-        attempts,
-    })
+    )
 }
 
 /// Candidate single-step reductions, most aggressive first.
 fn reductions(s: &MachineScenario) -> Vec<MachineScenario> {
     let mut out = Vec::new();
     if s.window > 400 {
-        let mut c = s.clone();
-        c.window = (s.window / 2).max(400);
-        out.push(c);
+        out.push(edited(s, |c| c.window = (s.window / 2).max(400)));
     }
     if s.warmup > 0 {
-        let mut c = s.clone();
-        c.warmup = s.warmup / 2;
-        out.push(c);
+        out.push(edited(s, |c| c.warmup = s.warmup / 2));
     }
     if s.fault.is_some() {
-        let mut c = s.clone();
-        c.fault = None;
-        out.push(c);
+        out.push(edited(s, |c| c.fault = None));
     }
     if s.migration.is_some() {
-        let mut c = s.clone();
-        c.migration = None;
-        out.push(c);
+        out.push(edited(s, |c| c.migration = None));
     }
     if let Some(spec) = s.migration {
         if spec.stealing {
             // Weaker than dropping the layer outright: keep the policy
             // machinery in place but make it a guaranteed no-op.
-            let mut c = s.clone();
-            c.migration = Some(MigrationSpec {
-                stealing: false,
-                ..spec
-            });
-            out.push(c);
+            out.push(edited(s, |c| {
+                c.migration = Some(MigrationSpec {
+                    stealing: false,
+                    ..spec
+                })
+            }));
         }
     }
     if s.shards > 1 {
         // Drop the sharded engine entirely, then try fewer shards — a
         // boundary-protocol bug often needs only two.
-        let mut c = s.clone();
-        c.shards = 1;
-        out.push(c);
+        out.push(edited(s, |c| c.shards = 1));
         if s.shards > 2 {
-            let mut c = s.clone();
-            c.shards = s.shards - 1;
-            out.push(c);
+            out.push(edited(s, |c| c.shards = s.shards - 1));
         }
     }
     if s.watchdog_cycles > 0 {
-        let mut c = s.clone();
-        c.watchdog_cycles = 0;
-        out.push(c);
+        out.push(edited(s, |c| c.watchdog_cycles = 0));
     }
     if s.timeout_cycles > 0 {
-        let mut c = s.clone();
-        c.timeout_cycles = 0;
-        out.push(c);
+        out.push(edited(s, |c| c.timeout_cycles = 0));
     }
     if s.contexts > 1 {
-        let mut c = s.clone();
-        c.contexts = 1;
-        out.push(c);
+        out.push(edited(s, |c| c.contexts = 1));
     }
     if s.mapping != MappingKind::Identity {
-        let mut c = s.clone();
-        c.mapping = MappingKind::Identity;
-        out.push(c);
+        out.push(edited(s, |c| c.mapping = MappingKind::Identity));
     }
     if s.topology.is_some() {
         // Collapse to the cube first; cube-only reductions below assume
         // `dims`/`radix` are live.
-        let mut c = s.clone();
-        c.topology = None;
-        out.push(c);
+        out.push(edited(s, |c| c.topology = None));
     }
-    if s.workload != WorkloadKind::Neighbor {
-        let mut c = s.clone();
-        c.workload = WorkloadKind::Neighbor;
-        out.push(c);
+    if s.workload != Workload::Neighbor {
+        out.push(edited(s, |c| c.workload = Workload::Neighbor));
     }
     if s.topology.is_none() && s.dims > 1 {
-        let mut c = s.clone();
-        c.dims = s.dims - 1;
-        out.push(c);
+        out.push(edited(s, |c| c.dims = s.dims - 1));
     }
     if s.topology.is_none() && s.radix > 3 {
-        let mut c = s.clone();
-        c.radix = s.radix - 1;
-        out.push(c);
+        out.push(edited(s, |c| c.radix = s.radix - 1));
     }
     if s.switch_cycles > 0 {
-        let mut c = s.clone();
-        c.switch_cycles = 0;
-        out.push(c);
+        out.push(edited(s, |c| c.switch_cycles = 0));
     }
     if s.work > 1 {
-        let mut c = s.clone();
-        c.work = (s.work / 2).max(1);
-        out.push(c);
+        out.push(edited(s, |c| c.work = (s.work / 2).max(1)));
     }
     if s.trace_capacity > 0 {
-        let mut c = s.clone();
-        c.trace_capacity = 0;
-        out.push(c);
+        out.push(edited(s, |c| c.trace_capacity = 0));
     }
     out
 }
@@ -839,6 +605,9 @@ mod tests {
             assert!(a.contexts == 1 || a.contexts == 2 || a.contexts == 4);
             assert!(a.clock_ratio == 1 || a.clock_ratio == 2);
             assert!(a.window >= 800);
+            if let Err(e) = a.sim_config(true) {
+                panic!("seed {seed}: drawn config does not validate: {e}");
+            }
             assert!(
                 a.shards >= 1 && a.shards <= a.total_nodes(),
                 "seed {seed}: shards {} out of range",
@@ -875,13 +644,9 @@ mod tests {
         }
         assert!(scenarios
             .iter()
-            .any(|s| matches!(s.workload, WorkloadKind::Hotspot { .. })));
-        assert!(scenarios
-            .iter()
-            .any(|s| s.workload == WorkloadKind::Transpose));
-        assert!(scenarios
-            .iter()
-            .any(|s| s.workload == WorkloadKind::Neighbor));
+            .any(|s| matches!(s.workload, Workload::Hotspot { .. })));
+        assert!(scenarios.iter().any(|s| s.workload == Workload::Transpose));
+        assert!(scenarios.iter().any(|s| s.workload == Workload::Neighbor));
         // Non-cube draws must also mix with shards so the three-way
         // lockstep exercises shard boundaries through switch nodes.
         assert!(
@@ -904,9 +669,7 @@ mod tests {
                 continue;
             }
             *checked.entry(family).or_insert(0) += 1;
-            if let Err(d) = run_seed(seed) {
-                panic!("seed {seed} ({family}): {d}");
-            }
+            run_seed(seed).unwrap_or_else(|d| panic!("seed {seed} ({family}): {d}"));
             if checked.len() == 3 && checked.values().all(|&n| n >= 2) {
                 break;
             }
@@ -937,9 +700,7 @@ mod tests {
             "expected multiple shard counts: {drawn:?}"
         );
         for &(seed, _) in drawn.iter().take(4) {
-            if let Err(d) = run_seed(seed) {
-                panic!("seed {seed}: {d}");
-            }
+            run_seed(seed).unwrap_or_else(|d| panic!("seed {seed}: {d}"));
         }
     }
 
@@ -955,9 +716,7 @@ mod tests {
             "expected both null and stealing policies in 60 seeds: {drawn:?}"
         );
         for &(seed, _) in drawn.iter().take(4) {
-            if let Err(d) = run_seed(seed) {
-                panic!("seed {seed}: {d}");
-            }
+            run_seed(seed).unwrap_or_else(|d| panic!("seed {seed}: {d}"));
         }
     }
 
@@ -966,9 +725,7 @@ mod tests {
         // A quick slice of the sweep; CI runs hundreds of seeds through
         // `commloc fuzz --machine`.
         for seed in 0..12u64 {
-            if let Err(d) = run_seed(seed) {
-                panic!("seed {seed}: {d}");
-            }
+            run_seed(seed).unwrap_or_else(|d| panic!("seed {seed}: {d}"));
         }
     }
 
@@ -997,7 +754,7 @@ mod tests {
             migration: None,
             shards: 3,
             topology: None,
-            workload: WorkloadKind::Neighbor,
+            workload: Workload::Neighbor,
         };
         run_scenario(&scenario).expect("active and sharded machines must agree");
     }
@@ -1016,9 +773,9 @@ mod tests {
             Some(Topology::dragonfly(2, 1)),
         ];
         let workloads = [
-            WorkloadKind::Neighbor,
-            WorkloadKind::Hotspot { targets: 2 },
-            WorkloadKind::Transpose,
+            Workload::Neighbor,
+            Workload::Hotspot { targets: 2 },
+            Workload::Transpose,
         ];
         for (ti, topology) in topologies.iter().enumerate() {
             for (wi, workload) in workloads.iter().enumerate() {
@@ -1041,7 +798,7 @@ mod tests {
                     migration: None,
                     shards: 2,
                     topology: topology.clone(),
-                    workload: *workload,
+                    workload: workload.clone(),
                 };
                 let label = topology
                     .as_ref()
@@ -1074,7 +831,7 @@ mod tests {
         let outcome =
             shrink(&scenario, Some(MachineMutation::SkewWork)).expect("mutated scenario must fail");
         assert!(outcome.scenario.window <= scenario.window);
-        let repro = outcome.repro_test();
+        let repro = outcome.scenario.repro_test();
         assert!(repro.contains("machine_fuzz_repro_seed_1"));
         assert!(repro.contains("MachineScenario {"));
     }

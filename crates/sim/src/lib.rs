@@ -35,7 +35,6 @@ mod csv;
 mod disturbance;
 mod error;
 mod fit;
-#[cfg(any(test, feature = "reference-engine"))]
 pub mod fuzz;
 pub mod json;
 mod machine;
@@ -51,7 +50,9 @@ pub use csv::MEASUREMENTS_CSV_HEADER;
 pub use disturbance::{run_disturbance, DisturbanceConfig, DisturbanceCurve};
 pub use error::{ConfigError, SimError, StallKind, StallReport};
 pub use fit::{fit_line, FitError, LineFit};
-pub use machine::{run_experiment, Machine, MachineSnapshot, Measurements, SimConfig};
+pub use machine::{
+    run_experiment, Machine, MachineSnapshot, Measurements, SimConfig, MAX_CONTEXTS, MAX_NODES,
+};
 pub use mapping::{mapping_suite, topology_mapping_suite, Mapping, NamedMapping};
 pub use parallel::{default_jobs, parallel_map, run_sweep, set_job_budget, SweepPoint};
 pub use serve::{run_cached_sweep, CacheStats, ScenarioKey, ScenarioResult, ServeOptions};

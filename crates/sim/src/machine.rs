@@ -26,9 +26,9 @@
 //! contributes its horizon: `Processor::next_wake`,
 //! `Controller::next_deadline`, and `Fabric::fast_forward`. The previous
 //! exhaustive every-node-every-cycle loop is retained as a reference
-//! stepping mode ([`Machine::new_reference`], `reference-engine` feature)
-//! and the differential fuzzer asserts bit-identical behavior between the
-//! two across random scenarios.
+//! stepping mode ([`Machine::new_reference`]) and the differential fuzzer
+//! asserts bit-identical behavior between the two across random
+//! scenarios.
 
 use crate::breakdown::{SpanEvent, SpanLog, TransactionBreakdown};
 use crate::error::{ConfigError, SimError, StallKind, StallReport};
@@ -43,6 +43,14 @@ use commloc_net::{
 use commloc_proc::{Processor, ReissueProgram, ThreadOp, ThreadProgram};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
+
+/// Largest torus [`SimConfig::validate`] admits: about twice the 1000×1000
+/// machine, the largest size the gain curve targets.
+pub const MAX_NODES: usize = 1 << 21;
+
+/// Most hardware contexts per processor [`SimConfig::validate`] admits
+/// (the paper's machines use 1–4).
+pub const MAX_CONTEXTS: usize = 64;
 
 /// Full-system simulation parameters.
 #[derive(Debug, Clone)]
@@ -93,13 +101,14 @@ impl SimConfig {
     }
 
     /// Checks the scalar fields every machine needs before anything is
-    /// built from them: the CLI and serve call this on every config they
-    /// accept from outside.
+    /// built from them: the CLI, serve, the machine fuzzer and
+    /// conformance call this on every config they build.
     ///
     /// # Errors
     ///
     /// Returns a [`ConfigError`] for a zero `dims`, `radix`, `contexts`
-    /// or `clock_ratio`.
+    /// or `clock_ratio`, a torus of more than [`MAX_NODES`] nodes, or
+    /// more than [`MAX_CONTEXTS`] contexts.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let zero = [
             ("dims", self.dims == 0),
@@ -107,13 +116,29 @@ impl SimConfig {
             ("contexts", self.contexts == 0),
             ("clock_ratio", self.clock_ratio == 0),
         ];
-        match zero.iter().find(|(_, is_zero)| *is_zero) {
-            Some(&(field, _)) => Err(ConfigError {
+        if let Some(&(field, _)) = zero.iter().find(|(_, is_zero)| *is_zero) {
+            return Err(ConfigError {
                 field,
                 reason: "must be at least 1".into(),
-            }),
-            None => Ok(()),
+            });
         }
+        let nodes = self.radix.checked_pow(self.dims);
+        if nodes.is_none_or(|nodes| nodes > MAX_NODES) {
+            return Err(ConfigError {
+                field: "dims",
+                reason: format!(
+                    "a radix-{} torus of {} dimensions exceeds {MAX_NODES} nodes",
+                    self.radix, self.dims
+                ),
+            });
+        }
+        if self.contexts > MAX_CONTEXTS {
+            return Err(ConfigError {
+                field: "contexts",
+                reason: format!("{} exceeds the cap of {MAX_CONTEXTS}", self.contexts),
+            });
+        }
+        Ok(())
     }
 }
 
@@ -354,14 +379,12 @@ impl Machine {
     /// Differential-testing surface only: the two engines are asserted
     /// bit-identical by the golden-equivalence tests and
     /// `commloc fuzz --machine`.
-    #[cfg(any(test, feature = "reference-engine"))]
     pub fn new_reference(config: &SimConfig, mapping: &Mapping) -> Self {
         Self::new_with_engine(config, mapping, true, None)
     }
 
     /// Reference-engine counterpart of [`Machine::with_policy`]
     /// (differential testing of the migration layer).
-    #[cfg(any(test, feature = "reference-engine"))]
     pub fn new_reference_with_policy(
         config: &SimConfig,
         mapping: &Mapping,
@@ -1679,6 +1702,25 @@ mod tests {
         assert_eq!(log_a, log_b, "fault logs diverged for identical seeds");
         assert_eq!(m_a, m_b, "measurements diverged for identical seeds");
         assert!(!log_a.is_empty(), "no faults injected; test is vacuous");
+    }
+
+    #[test]
+    fn validate_caps_node_count_and_contexts() {
+        let valid = |dims, radix, contexts| {
+            SimConfig {
+                dims,
+                radix,
+                contexts,
+                ..SimConfig::default()
+            }
+            .validate()
+        };
+        assert!(valid(2, 1000, 4).is_ok(), "the 1000x1000 target must pass");
+        assert!(valid(2, 8, MAX_CONTEXTS).is_ok());
+        // 1000^7 overflows `usize`; 200^3 fits but exceeds the cap.
+        assert_eq!(valid(7, 1000, 1).unwrap_err().field, "dims");
+        assert_eq!(valid(3, 200, 1).unwrap_err().field, "dims");
+        assert_eq!(valid(2, 8, MAX_CONTEXTS + 1).unwrap_err().field, "contexts");
     }
 
     /// A small machine for engine-equivalence tests: the reference engine

@@ -1274,6 +1274,7 @@ mod tests {
         let mut lines = text.lines();
         let first = lines.next().unwrap_or_default().to_string();
         assert!(first.contains("\"event\":\"error\""), "{request}: {text}");
+        assert_eq!(text.matches("\"event\":\"error\"").count(), 1, "{text}");
         assert!(
             lines
                 .next()
@@ -1308,5 +1309,18 @@ mod tests {
             "{err}"
         );
         assert!(parse_request(r#"{"op":"run","work":4294967296}"#).is_err());
+    }
+
+    #[test]
+    fn oversized_machines_are_error_events_not_hangs() {
+        // 1000^7 overflows the node count; 2^32 + 1 contexts fits `usize`
+        // but would allocate billions of contexts per node.
+        for (request, field) in [
+            (r#"{"op":"run","dims":7,"radix":1000}"#, "dims"),
+            (r#"{"op":"run","contexts":4294967297}"#, "contexts"),
+        ] {
+            let err = rejected_request(request);
+            assert!(err.contains(field), "error must name {field}: {err}");
+        }
     }
 }

@@ -59,14 +59,13 @@ fn seeded_mutation_trips_fuzzer_and_shrinker() {
     assert!(!divergence.what.is_empty());
     let outcome = shrink(&scenario, mutation).expect("failing scenario must shrink");
     assert!(outcome.scenario.cycles <= scenario.cycles);
-    let repro = outcome.repro_test();
+    let repro = outcome.scenario.repro_test();
     assert!(repro.contains("#[test]"), "repro must be a pasteable test");
     assert!(repro.contains("fuzz_repro_seed_7"));
 }
 
 /// The differential fuzzer is reachable through the facade under plain
-/// `cargo test -q` — the `reference-engine` feature plumbing holds — and
-/// a few seeds run clean.
+/// `cargo test -q`, and a few seeds run clean.
 #[test]
 fn fuzzer_runs_clean_through_the_facade() {
     for seed in [0u64, 1, 2] {

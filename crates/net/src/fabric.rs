@@ -36,14 +36,20 @@
 //!
 //! Messages in flight live in a generational slab: each flit carries its
 //! message's slot index, so hot-path lookups are array indexing (with the
-//! message id doubling as a generation check) instead of hashing. Two
-//! per-router bitmasks over the input-VC list keep the dense hot path off
+//! message id doubling as a generation check) instead of hashing. Input
+//! buffers store runs of one worm's flits rather than per-flit copies.
+//! Per-router bitmasks over the input-VC list keep the dense hot path off
 //! the idle VCs: route computation visits only the VCs whose front is an
-//! unrouted head, and switch allocation finds the next round-robin
-//! requester for an output with a masked `trailing_zeros` search of a
-//! per-`(router, output, dateline-class)` requester mask instead of
-//! scanning every input VC. All per-cycle buffers (credit returns,
-//! worklist snapshots) are reused scratch vectors: the steady-state hot
+//! unrouted head; switch allocation computes which output VCs can send
+//! (credited, and either locked with a non-empty owner or unlocked with a
+//! head waiting for their class) with bit operations, visits only the
+//! ports holding one, and finds the next round-robin requester with a
+//! masked `trailing_zeros` search of a per-`(router, output,
+//! dateline-class)` requester mask. Shard fabrics re-point trailing flits
+//! arriving across a boundary through a flat per-input-VC crossing
+//! table. All per-cycle buffers (credit returns, worklist snapshots) are
+//! reused scratch vectors, and runs queued behind a VC's front run live
+//! in a per-fabric pool that reuses freed nodes: the steady-state hot
 //! path allocates nothing.
 //!
 //! When the fabric is completely drained, [`Fabric::fast_forward`] jumps
@@ -58,7 +64,7 @@ use crate::routing::{VcIndex, DATELINE_VCS};
 use crate::stats::{FabricStats, LatencyBreakdown};
 use crate::topology::{Direction, NodeId, PortStep, Topology, Torus};
 use crate::trace::{TraceBuffer, TraceEvent};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::mem;
 
@@ -215,9 +221,13 @@ pub struct Fabric<P> {
     /// with `vc_stride = link_ports * link_vcs + 1`: the single-VC
     /// injection input / ejection output (`port == link_ports`, `vc == 0`)
     /// lands on the trailing slot of each node's block.
-    in_fifo: Vec<VecDeque<Flit>>,
-    /// Route of the message at each input VC's front, assigned when its
-    /// head reaches the front and cleared when its tail departs.
+    in_fifo: Vec<WormFifo>,
+    /// Runs queued behind the `in_fifo` front runs.
+    runs: RunPool,
+    /// Route of the message at each input VC's front: `(output port,
+    /// dateline class)` from route computation until its head departs,
+    /// then the output VC `(output port, vc)` its worm holds locked until
+    /// its tail departs.
     in_route: Vec<Option<OutputRef>>,
     /// Cycle each input VC's front route was assigned (hop-block trace);
     /// empty unless tracing.
@@ -295,6 +305,14 @@ pub struct Fabric<P> {
     /// bitmask each ([`Fabric::req_mask`]). Set at route assignment,
     /// cleared when the head departs.
     requesters: Vec<u64>,
+    /// Switch-allocation state of each node's output VCs, as
+    /// [`ALLOC_MASKS`] `mask_words`-word bitmasks per node in the
+    /// input-VC-list layout ([`Fabric::alloc_mask`]): credit available,
+    /// locked, lock owner's input non-empty, and class requested. An
+    /// output VC can send this cycle iff it is credited and either
+    /// locked with a non-empty owner or unlocked with a requester waiting
+    /// for its class.
+    alloc: Vec<u64>,
     /// Scratch: snapshot of an [`ActiveSet`] for iteration.
     node_scratch: Vec<u32>,
     /// Scratch: last cycle's occupied-link worklist being drained.
@@ -328,16 +346,24 @@ pub struct Fabric<P> {
     /// drained by the shard driver. Always empty for a whole-torus
     /// fabric.
     boundary_out: Vec<BoundaryItem<P>>,
-    /// `(message id, entry node, entry port, entry vc)` -> local slab
-    /// slot for messages whose bookkeeping was transferred in from
-    /// another shard while trailing flits still arrive carrying the
-    /// sender's slot index. Keyed per boundary crossing, not per
-    /// message: a wrapping route can leave and re-enter the same shard,
-    /// so one worm may stream across two crossings concurrently, and
-    /// the tail passing the first crossing must not tear down the entry
-    /// the second still needs. Each entry dies with the tail flit at
-    /// its own crossing.
-    remap: HashMap<(u64, u32, u16, u16), u32>,
+    /// Local slab slot of the worm streaming in across each boundary
+    /// crossing, indexed by the receiving input VC (empty for a
+    /// whole-topology fabric). A head transferring its bookkeeping in
+    /// from another shard seeds its entry; trailing flits still carry
+    /// the sender's slot and are re-pointed through it. One entry per
+    /// crossing suffices: the upstream output VC stays wormhole-locked
+    /// from head to tail, so a crossing carries one worm at a time. Keyed
+    /// per crossing, not per message: a wrapping route can leave and
+    /// re-enter the same shard, so one worm may stream across two
+    /// crossings concurrently, and the tail passing the first must not
+    /// tear down the entry the second still needs. Each entry dies with
+    /// the tail flit at its own crossing.
+    ///
+    /// Each entry is `(message id + 1, slot)`; `0` marks a free crossing,
+    /// so the table starts as untouched zero pages.
+    crossings: Vec<(u64, u32)>,
+    /// Occupied `crossings` entries.
+    crossings_live: usize,
 }
 
 impl<P> Fabric<P> {
@@ -396,6 +422,16 @@ impl<P> Fabric<P> {
             check_router_shape(link_ports, config.link_vcs, config.vc_buffer_capacity);
         let vc_stride = link_ports * config.link_vcs + 1;
         let mask_words = vc_stride.div_ceil(64);
+        // Every output VC starts with credit: links hold `link_credits >
+        // 0`, the ejection pseudo-channel is infinite.
+        let mut alloc = vec![0; owned * ALLOC_MASKS * mask_words];
+        for node in 0..owned {
+            let m = (node * ALLOC_MASKS + CREDITED) * mask_words;
+            for j in 0..vc_stride {
+                set_bit(&mut alloc[m..], j);
+            }
+        }
+        let sharded = owned < topology.nodes();
         let mut out_credits = Vec::with_capacity(owned * vc_stride);
         for _ in 0..owned {
             for _ in 0..link_ports * config.link_vcs {
@@ -449,7 +485,8 @@ impl<P> Fabric<P> {
             ports: link_ports,
             vc_stride,
             mask_words,
-            in_fifo: (0..owned * vc_stride).map(|_| VecDeque::new()).collect(),
+            in_fifo: vec![WormFifo::default(); owned * vc_stride],
+            runs: RunPool::default(),
             in_route: vec![None; owned * vc_stride],
             in_routed_at: vec![0; if tracing { owned * vc_stride } else { 0 }],
             out_locked: vec![None; owned * vc_stride],
@@ -477,6 +514,7 @@ impl<P> Fabric<P> {
             active_nis: ActiveSet::new(owned),
             unrouted: vec![0; owned * mask_words],
             requesters: vec![0; owned * (link_ports + 1) * DATELINE_VCS * mask_words],
+            alloc,
             node_scratch: Vec::new(),
             link_scratch: Vec::new(),
             inj_scratch: Vec::new(),
@@ -491,7 +529,8 @@ impl<P> Fabric<P> {
             buffered: 0,
             injected_total: 0,
             boundary_out: Vec::new(),
-            remap: HashMap::new(),
+            crossings: vec![(0, 0); if sharded { owned * vc_stride } else { 0 }],
+            crossings_live: 0,
         }
     }
 
@@ -842,7 +881,7 @@ impl<P> Fabric<P> {
             && self.link_occupied.is_empty()
             && self.inj_occupied.is_empty()
             && self.boundary_out.is_empty()
-            && self.remap.is_empty()
+            && self.crossings_live == 0
     }
 
     /// Index of `(local node, port, vc)` in the flattened VC arrays.
@@ -877,21 +916,73 @@ impl<P> Fabric<P> {
         ((node * (self.ports + 1) + output) * DATELINE_VCS + class) * self.mask_words
     }
 
+    /// Start of allocation mask `kind` ([`CREDITED`], [`LOCKED`],
+    /// [`FED`] or [`WANTED`]) of local node `node` in `alloc`.
+    #[inline]
+    fn alloc_mask(&self, node: usize, kind: usize) -> usize {
+        (node * ALLOC_MASKS + kind) * self.mask_words
+    }
+
+    /// Node-local bit range of the output VCs of `output` that serve
+    /// dateline class `class` (the ejection port's single VC serves
+    /// class 0).
+    #[inline]
+    fn class_vcs(&self, output: usize, class: usize) -> std::ops::Range<usize> {
+        let lo = output * self.config.link_vcs;
+        if output == self.ports {
+            lo..lo + 1
+        } else {
+            let half = self.config.link_vcs / DATELINE_VCS;
+            lo + class * half..lo + (class + 1) * half
+        }
+    }
+
+    /// First output VC of local router `node` in the node-local bit range
+    /// `from..to` that can send this cycle: credited, and either locked
+    /// with a non-empty owner or unlocked with a waiting requester.
+    #[inline]
+    fn next_candidate(&self, node: usize, from: usize, to: usize) -> Option<usize> {
+        let words = self.mask_words;
+        let m = self.alloc_mask(node, 0);
+        let masks = &self.alloc[m..m + ALLOC_MASKS * words];
+        next_set(
+            |w| {
+                masks[CREDITED * words + w]
+                    & (masks[FED * words + w]
+                        | masks[WANTED * words + w] & !masks[LOCKED * words + w])
+            },
+            from,
+            to,
+        )
+    }
+
     /// Pushes `flit` onto input VC `idx` (flattened) of local router
     /// `node`. A head landing in an empty buffer is now a front awaiting
-    /// its route. (An empty buffer never holds a route: the previous
-    /// message's tail cleared it on departure.)
+    /// its route (an empty buffer never holds a route: the previous
+    /// message's tail cleared it on departure). Any other flit landing
+    /// in an empty buffer continues the worm whose head already left
+    /// through the output VC recorded in `in_route`, which can send
+    /// again.
     #[inline]
     fn push_input(&mut self, node: usize, idx: usize, flit: Flit) {
-        let fifo = &mut self.in_fifo[idx];
-        if fifo.is_empty() && flit.kind.is_head() {
-            debug_assert!(self.in_route[idx].is_none(), "empty buffer kept a route");
-            set_bit(
-                &mut self.unrouted[node * self.mask_words..],
-                idx - node * self.vc_stride,
-            );
+        if self.in_fifo[idx].is_empty() {
+            if flit.kind.is_head() {
+                debug_assert!(self.in_route[idx].is_none(), "empty buffer kept a route");
+                set_bit(
+                    &mut self.unrouted[node * self.mask_words..],
+                    idx - node * self.vc_stride,
+                );
+            } else if let Some(held) = self.in_route[idx] {
+                let m = self.alloc_mask(node, FED);
+                set_bit(
+                    &mut self.alloc[m..],
+                    held.port() * self.config.link_vcs + held.vc(),
+                );
+            } else {
+                debug_assert!(false, "worm flit reached an input that holds no lock");
+            }
         }
-        fifo.push_back(flit);
+        self.in_fifo[idx].push_back(&mut self.runs, flit);
         self.occupancy[node] += 1;
         self.buffered += 1;
         self.active_routers.insert(node);
@@ -914,7 +1005,7 @@ impl<P> Fabric<P> {
             let port = self.link_in_ports[li] as usize;
             let idx = self.vc_idx(node, port, vc);
             debug_assert!(
-                self.in_fifo[idx].len() < self.config.vc_buffer_capacity,
+                self.in_fifo[idx].len(&self.runs) < self.config.vc_buffer_capacity,
                 "credit protocol violated"
             );
             // Stamp the head's arrival at its destination router — the
@@ -938,7 +1029,7 @@ impl<P> Fabric<P> {
             };
             let idx = self.vc_idx(node, local, 0);
             debug_assert!(
-                self.in_fifo[idx].len() < self.config.injection_buffer_capacity,
+                self.in_fifo[idx].len(&self.runs) < self.config.injection_buffer_capacity,
                 "injection credit protocol violated"
             );
             self.push_input(node, idx, flit);
@@ -967,7 +1058,7 @@ impl<P> Fabric<P> {
                         self.in_route[idx].is_none() && front.is_some_and(|f| f.kind.is_head()),
                         "unrouted mask out of sync"
                     );
-                    let Some(&front) = front else {
+                    let Some(front) = front else {
                         continue;
                     };
                     let message = front.message;
@@ -994,6 +1085,10 @@ impl<P> Fabric<P> {
                     // clear when this head is forwarded.
                     let m = self.req_mask(node, output.port(), output.vc());
                     set_bit(&mut self.requesters[m..], j);
+                    let m = self.alloc_mask(node, WANTED);
+                    for o in self.class_vcs(output.port(), output.vc()) {
+                        set_bit(&mut self.alloc[m..], o);
+                    }
                 }
             }
         }
@@ -1010,8 +1105,7 @@ impl<P> Fabric<P> {
     /// nothing; their traffic waits in input buffers and backpressure
     /// propagates upstream through the ordinary credit mechanism.
     fn switch_traversal(&mut self, active: &[u32]) -> Result<(), FabricError> {
-        let link_ports = self.ports;
-        let output_count = link_ports + 1;
+        let (link_ports, link_vcs) = (self.ports, self.config.link_vcs);
         for &n in active {
             let node = n as usize;
             // Faults are keyed by global node id: a restricted shard plan
@@ -1022,7 +1116,17 @@ impl<P> Fabric<P> {
                     continue;
                 }
             }
-            for output in 0..output_count {
+            // Visit only the output ports with a candidate VC, ascending.
+            // Forwarding on one port changes no other port's candidates
+            // (credits return in phase 4, and a freed input front is
+            // routed next cycle), so each port is searched from the
+            // current masks exactly as the per-port scan would see them.
+            let mut from = 0;
+            while let Some(first) = self.next_candidate(node, from, self.vc_stride) {
+                let output = self.input_vc_list[first].port();
+                let lo = output * link_vcs;
+                let vc_count = self.port_vcs(output);
+                from = lo + vc_count;
                 if output < link_ports {
                     if let Some(plan) = self.fault.as_ref() {
                         if plan.link_blocked(self.cycle, global, output) {
@@ -1030,43 +1134,40 @@ impl<P> Fabric<P> {
                         }
                     }
                 }
-                if let Some((input, out_vc)) = self.pick_sender(node, output) {
-                    self.forward_flit(node, output, out_vc, input)?;
-                }
+                // Round robin over the port's VCs: the first candidate at
+                // or after the pointer, else (wrapping) the port's first.
+                let rr = node * (link_ports + 1) + output;
+                let start = lo + usize::from(self.out_rr_vc[rr]);
+                let pick = if start == lo {
+                    first
+                } else {
+                    self.next_candidate(node, start, from).unwrap_or(first)
+                };
+                let w = pick - lo;
+                self.out_rr_vc[rr] = if w + 1 == vc_count { 0 } else { w + 1 } as u16;
+                let ovc = node * self.vc_stride + pick;
+                let input = match self.out_locked[ovc] {
+                    // Continue the wormhole: the owner holds its next flit.
+                    Some(input) => input,
+                    // Allocate this output VC to a new message and forward
+                    // its head immediately.
+                    None => {
+                        let input = self.find_requester(node, output, w).ok_or(
+                            FabricError::MissingFlit {
+                                node: NodeId(global),
+                                cycle: self.cycle,
+                            },
+                        )?;
+                        self.out_locked[ovc] = Some(input);
+                        let m = self.alloc_mask(node, LOCKED);
+                        set_bit(&mut self.alloc[m..], pick);
+                        input
+                    }
+                };
+                self.forward_flit(node, output, w, input)?;
             }
         }
         Ok(())
-    }
-
-    /// Chooses which input VC (if any) sends on output `output` of router
-    /// `node` this cycle, allocating the output VC to a new message when
-    /// unlocked. Returns the chosen input and output VC.
-    fn pick_sender(&mut self, node: usize, output: usize) -> Option<(InputRef, VcIndex)> {
-        let vc_count = self.port_vcs(output);
-        let rr = node * (self.ports + 1) + output;
-        let mut w = usize::from(self.out_rr_vc[rr]);
-        for _ in 0..vc_count {
-            let ovc = self.vc_idx(node, output, w);
-            let next = if w + 1 == vc_count { 0 } else { w + 1 };
-            if self.out_credits[ovc] > 0 {
-                if let Some(input) = self.out_locked[ovc] {
-                    // Continue the wormhole if the next flit has arrived.
-                    let buf = self.vc_idx(node, input.port(), input.vc());
-                    if !self.in_fifo[buf].is_empty() {
-                        self.out_rr_vc[rr] = next as u16;
-                        return Some((input, w));
-                    }
-                } else if let Some(input) = self.find_requester(node, output, w) {
-                    // Allocate this output VC to a new message and forward
-                    // its head immediately.
-                    self.out_locked[ovc] = Some(input);
-                    self.out_rr_vc[rr] = next as u16;
-                    return Some((input, w));
-                }
-            }
-            w = next;
-        }
-        None
     }
 
     /// Round-robin choice of an input VC whose routed head waits at its
@@ -1111,18 +1212,37 @@ impl<P> Fabric<P> {
         let buf = self.vc_idx(node, input.port(), input.vc());
         let route_class = self.in_route[buf].map_or(0, OutputRef::vc);
         let flit = self.in_fifo[buf]
-            .pop_front()
+            .pop_front(&mut self.runs)
             .ok_or(FabricError::MissingFlit {
                 node: NodeId(global),
                 cycle: self.cycle,
             })?;
         let j = buf - node * self.vc_stride;
+        // Node-local bit of the output VC in the allocation masks.
+        let o = output * self.config.link_vcs + out_vc;
+        let fed = self.alloc_mask(node, FED);
         if flit.kind.is_tail() {
             self.in_route[buf] = None;
             // The next message's head, if already buffered, is now a
             // front awaiting its route.
             if self.in_fifo[buf].front().is_some_and(|f| f.kind.is_head()) {
                 set_bit(&mut self.unrouted[node * self.mask_words..], j);
+            }
+            // Release the wormhole lock.
+            self.out_locked[node * self.vc_stride + o] = None;
+            let locked = self.alloc_mask(node, LOCKED);
+            clear_bit(&mut self.alloc[locked..], o);
+            clear_bit(&mut self.alloc[fed..], o);
+        } else {
+            if flit.kind.is_head() {
+                // From now on the input's route names the output VC its
+                // worm holds, for `push_input` to re-arm.
+                self.in_route[buf] = Some(OutputRef::new(output, out_vc));
+            }
+            if self.in_fifo[buf].is_empty() {
+                clear_bit(&mut self.alloc[fed..], o);
+            } else {
+                set_bit(&mut self.alloc[fed..], o);
             }
         }
         self.occupancy[node] -= 1;
@@ -1135,6 +1255,15 @@ impl<P> Fabric<P> {
             // request posted at route assignment.
             let m = self.req_mask(node, output, route_class);
             clear_bit(&mut self.requesters[m..], j);
+            if self.requesters[m..m + self.mask_words]
+                .iter()
+                .all(|&w| w == 0)
+            {
+                let m = self.alloc_mask(node, WANTED);
+                for o in self.class_vcs(output, route_class) {
+                    clear_bit(&mut self.alloc[m..], o);
+                }
+            }
             if let Some(trace) = self.trace.as_mut() {
                 // Routed in phase 2, forwardable in phase 3 of the same
                 // cycle: any later departure means it sat blocked.
@@ -1180,11 +1309,6 @@ impl<P> Fabric<P> {
                         vc: input.vc,
                     }));
             }
-        }
-        // Release the wormhole lock on a tail.
-        if flit.kind.is_tail() {
-            let ovc = self.vc_idx(node, output, out_vc);
-            self.out_locked[ovc] = None;
         }
         // Fault rolls happen once per message per link crossing, on the
         // head flit, keyed by global node id so a given seed replays
@@ -1252,6 +1376,10 @@ impl<P> Fabric<P> {
             let ovc = self.vc_idx(node, output, out_vc);
             debug_assert!(self.out_credits[ovc] > 0 && self.out_credits[ovc] != INFINITE_CREDITS);
             self.out_credits[ovc] -= 1;
+            if self.out_credits[ovc] == 0 {
+                let m = self.alloc_mask(node, CREDITED);
+                clear_bit(&mut self.alloc[m..], o);
+            }
             let li = node * self.ports + output;
             self.stats.link_busy[li] += 1;
             self.stats.link_flits += 1;
@@ -1266,7 +1394,7 @@ impl<P> Fabric<P> {
                 // but lands in another shard's fabric next cycle. A head
                 // carries the message's slab bookkeeping with it; trailing
                 // flits are re-pointed at the receiver's slab through its
-                // per-crossing remap.
+                // crossing table.
                 let mut transfer = None;
                 if flit.kind.is_head()
                     && self.slots[slot]
@@ -1366,6 +1494,8 @@ impl<P> Fabric<P> {
                     let ovc = self.vc_idx(node, port, vc);
                     self.out_credits[ovc] += 1;
                     debug_assert!(self.out_credits[ovc] as usize <= self.config.vc_buffer_capacity);
+                    let m = self.alloc_mask(node, CREDITED);
+                    set_bit(&mut self.alloc[m..], port * self.config.link_vcs + vc);
                 }
             }
         }
@@ -1557,7 +1687,7 @@ impl<P> Fabric<P> {
                 transfer,
             } => {
                 let node = down as usize - self.base;
-                let crossing = (flit.message.0, down, port, vc);
+                let idx = self.vc_idx(node, port as usize, vc as usize);
                 if let Some(pending) = transfer {
                     debug_assert_eq!(pending.id, flit.message.0);
                     let pending = *pending;
@@ -1572,22 +1702,29 @@ impl<P> Fabric<P> {
                         }
                     };
                     self.live += 1;
-                    self.remap.insert(crossing, slot);
+                    debug_assert_eq!(
+                        self.crossings[idx].0, 0,
+                        "a crossing carries one worm at a time"
+                    );
+                    self.crossings[idx] = (flit.message.0 + 1, slot);
+                    self.crossings_live += 1;
                 }
                 // Re-point the flit at the local slab: the slot it
                 // carries indexes the sender's slab. Worm flits cross
                 // each boundary link in order, so the head's transfer
-                // above seeds this crossing's remap entry before any
-                // trailing flit needs it. (At a crossing the message
-                // has since left through, the entry's slot is stale —
-                // harmless, because every consumer of `flit.slot`
-                // checks the slab entry's id first, and such flits
-                // always exit the shard and get re-mapped downstream.)
-                if let Some(&slot) = self.remap.get(&crossing) {
+                // above seeds this crossing's entry before any trailing
+                // flit needs it. (At a crossing the message has since
+                // left through, the entry's slot is stale — harmless,
+                // because every consumer of `flit.slot` checks the slab
+                // entry's id first, and such flits always exit the shard
+                // and get re-mapped downstream.)
+                let (tag, slot) = self.crossings[idx];
+                if tag == flit.message.0 + 1 {
                     flit.slot = slot;
-                }
-                if flit.kind.is_tail() {
-                    self.remap.remove(&crossing);
+                    if flit.kind.is_tail() {
+                        self.crossings[idx].0 = 0;
+                        self.crossings_live -= 1;
+                    }
                 }
                 // Stamp the head's destination arrival. The receiver's
                 // clock still reads the cycle that produced the flit; it
@@ -1600,18 +1737,20 @@ impl<P> Fabric<P> {
                         }
                     }
                 }
-                let idx = self.vc_idx(node, port as usize, vc as usize);
                 debug_assert!(
-                    self.in_fifo[idx].len() < self.config.vc_buffer_capacity,
+                    self.in_fifo[idx].len(&self.runs) < self.config.vc_buffer_capacity,
                     "boundary credit protocol violated"
                 );
                 self.push_input(node, idx, flit);
             }
             BoundaryPayload::Credit { node, port, vc } => {
                 let local = node as usize - self.base;
-                let ovc = self.vc_idx(local, port as usize, vc as usize);
+                let (port, vc) = (port as usize, vc as usize);
+                let ovc = self.vc_idx(local, port, vc);
                 self.out_credits[ovc] += 1;
                 debug_assert!(self.out_credits[ovc] as usize <= self.config.vc_buffer_capacity);
+                let m = self.alloc_mask(local, CREDITED);
+                set_bit(&mut self.alloc[m..], port * self.config.link_vcs + vc);
             }
         }
     }
@@ -1619,16 +1758,38 @@ impl<P> Fabric<P> {
 
 #[cfg(test)]
 impl<P> Fabric<P> {
-    /// Rebuilds the unrouted and requester masks from `in_route` and the
-    /// buffer fronts and asserts they match the incrementally maintained
-    /// ones. Valid between steps.
+    /// Rebuilds the unrouted, requester and allocation masks from
+    /// `in_route`, the buffers, `out_credits` and `out_locked`, and
+    /// asserts they match the incrementally maintained ones; also checks
+    /// that every lock owner's route names the output VC it holds, that
+    /// the crossing count matches the table and that no run-pool node
+    /// leaked. Valid between steps.
     pub(crate) fn assert_masks_consistent(&self) {
         let words = self.mask_words;
+        let link_vcs = self.config.link_vcs;
         for node in 0..self.owned {
             let mut unrouted = vec![0u64; words];
             let mut requesters = vec![0u64; (self.ports + 1) * DATELINE_VCS * words];
+            let mut alloc = vec![0u64; ALLOC_MASKS * words];
             for j in 0..self.vc_stride {
                 let idx = node * self.vc_stride + j;
+                if self.out_credits[idx] > 0 {
+                    set_bit(&mut alloc[CREDITED * words..], j);
+                }
+                if let Some(owner) = self.out_locked[idx] {
+                    set_bit(&mut alloc[LOCKED * words..], j);
+                    let buf = node * self.vc_stride + owner.port() * link_vcs + owner.vc();
+                    if !self.in_fifo[buf].is_empty() {
+                        set_bit(&mut alloc[FED * words..], j);
+                    }
+                    let held = self.input_vc_list[j];
+                    assert_eq!(
+                        self.in_route[buf],
+                        Some(held),
+                        "lock owner of node {node} output VC {j} at cycle {}",
+                        self.cycle
+                    );
+                }
                 if !self.in_fifo[idx].front().is_some_and(|f| f.kind.is_head()) {
                     continue;
                 }
@@ -1637,6 +1798,9 @@ impl<P> Fabric<P> {
                     Some(route) => {
                         let m = (route.port() * DATELINE_VCS + route.vc()) * words;
                         set_bit(&mut requesters[m..], j);
+                        for o in self.class_vcs(route.port(), route.vc()) {
+                            set_bit(&mut alloc[WANTED * words..], o);
+                        }
                     }
                 }
             }
@@ -1653,7 +1817,39 @@ impl<P> Fabric<P> {
                 "requester masks of node {node} at cycle {}",
                 self.cycle
             );
+            let m = self.alloc_mask(node, 0);
+            for (kind, name) in ["credited", "locked", "fed", "wanted"].iter().enumerate() {
+                let range = kind * words..(kind + 1) * words;
+                assert_eq!(
+                    alloc[range.clone()],
+                    self.alloc[m + range.start..m + range.end],
+                    "{name} mask of node {node} at cycle {}",
+                    self.cycle
+                );
+            }
         }
+        let live = self.crossings.iter().filter(|c| c.0 != 0).count();
+        assert_eq!(
+            live, self.crossings_live,
+            "crossing count at cycle {}",
+            self.cycle
+        );
+        // Every run-pool node is queued behind exactly one front or free.
+        let chain = |mut n: u32| {
+            let mut nodes = 0;
+            while n != 0 {
+                nodes += 1;
+                n = self.runs.nodes[n as usize - 1].1;
+            }
+            nodes
+        };
+        let queued: usize = self.in_fifo.iter().map(|f| chain(f.first)).sum();
+        assert_eq!(
+            queued + chain(self.runs.free),
+            self.runs.nodes.len(),
+            "run pool leaked at cycle {}",
+            self.cycle
+        );
     }
 }
 
@@ -1706,6 +1902,181 @@ enum CreditReturn {
     },
 }
 
+/// Allocation masks per node in `Fabric::alloc`, each `mask_words` words
+/// in the input-VC-list layout (bit `j` is output VC `input_vc_list[j]`).
+const ALLOC_MASKS: usize = 4;
+/// The output VC has downstream credit.
+const CREDITED: usize = 0;
+/// The output VC is wormhole-locked to an input VC.
+const LOCKED: usize = 1;
+/// The output VC is locked and its owner's input buffer holds a flit.
+const FED: usize = 2;
+/// A routed head waits for the output VC's `(port, dateline class)`.
+const WANTED: usize = 3;
+
+/// A run of consecutive buffered flits of one message, stored once: the
+/// unit a [`WormFifo`] holds instead of per-flit copies.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct WormRun {
+    message: u64,
+    slot: u32,
+    /// Flits in the run; `0` only in an empty FIFO's front.
+    count: u16,
+    /// The run's first flit is a head.
+    head: bool,
+    /// The run's last flit is a tail.
+    tail: bool,
+}
+
+impl WormRun {
+    fn start(flit: Flit) -> Self {
+        Self {
+            message: flit.message.0,
+            slot: flit.slot,
+            count: 1,
+            head: flit.kind.is_head(),
+            tail: flit.kind.is_tail(),
+        }
+    }
+
+    /// The run's first flit, rebuilt exactly as it was pushed.
+    #[inline]
+    fn first(&self) -> Flit {
+        let tail = self.tail && self.count == 1;
+        let kind = match (self.head, tail) {
+            (true, true) => FlitKind::HeadTail,
+            (true, false) => FlitKind::Head,
+            (false, true) => FlitKind::Tail,
+            (false, false) => FlitKind::Body,
+        };
+        Flit {
+            message: MessageId(self.message),
+            kind,
+            slot: self.slot,
+        }
+    }
+
+    /// Whether `flit` continues this run: same message and slab slot, not
+    /// a head, the run not yet closed by a tail, and room in `count`.
+    /// Anything else starts a new run, so no flit is ever rebuilt
+    /// differently from how it was pushed.
+    #[inline]
+    fn extends(&self, flit: &Flit) -> bool {
+        flit.message.0 == self.message
+            && flit.slot == self.slot
+            && !flit.kind.is_head()
+            && !self.tail
+            && self.count < u16::MAX
+    }
+}
+
+/// A virtual-channel flit FIFO stored as runs of worm flits. The front
+/// run sits inline; runs behind it (in practice, the next worm's head
+/// behind a tail) are a linked list in the fabric's [`RunPool`].
+#[derive(Debug, Clone, Copy, Default)]
+struct WormFifo {
+    front: WormRun,
+    /// Pool index + 1 of the first and last queued runs; `0` when the
+    /// front is the only run.
+    first: u32,
+    last: u32,
+}
+
+impl WormFifo {
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.front.count == 0
+    }
+
+    /// Flits buffered (diagnostic: walks the runs).
+    fn len(&self, pool: &RunPool) -> usize {
+        let mut total = usize::from(self.front.count);
+        let mut next = self.first;
+        while next != 0 {
+            let (run, after) = pool.nodes[next as usize - 1];
+            total += usize::from(run.count);
+            next = after;
+        }
+        total
+    }
+
+    #[inline]
+    fn front(&self) -> Option<Flit> {
+        (!self.is_empty()).then(|| self.front.first())
+    }
+
+    #[inline]
+    fn push_back(&mut self, pool: &mut RunPool, flit: Flit) {
+        if self.is_empty() {
+            self.front = WormRun::start(flit);
+            return;
+        }
+        let last = match self.last {
+            0 => &mut self.front,
+            n => &mut pool.nodes[n as usize - 1].0,
+        };
+        if last.extends(&flit) {
+            last.count += 1;
+            last.tail = flit.kind.is_tail();
+            return;
+        }
+        let n = pool.alloc(WormRun::start(flit));
+        match self.last {
+            0 => self.first = n,
+            last => pool.nodes[last as usize - 1].1 = n,
+        }
+        self.last = n;
+    }
+
+    #[inline]
+    fn pop_front(&mut self, pool: &mut RunPool) -> Option<Flit> {
+        let flit = self.front()?;
+        self.front.count -= 1;
+        self.front.head = false;
+        if self.front.count == 0 && self.first != 0 {
+            let n = self.first;
+            let (run, next) = pool.nodes[n as usize - 1];
+            self.front = run;
+            self.first = next;
+            if next == 0 {
+                self.last = 0;
+            }
+            pool.release(n);
+        }
+        Some(flit)
+    }
+}
+
+/// Arena of the runs queued behind VC front runs: `(run, index + 1 of
+/// the next run or free node)` per node, with freed nodes reused first.
+#[derive(Debug, Clone, Default)]
+struct RunPool {
+    nodes: Vec<(WormRun, u32)>,
+    /// Index + 1 of the first free node; `0` when none is free.
+    free: u32,
+}
+
+impl RunPool {
+    /// Stores `run` and returns its index + 1.
+    #[inline]
+    fn alloc(&mut self, run: WormRun) -> u32 {
+        if self.free == 0 {
+            self.nodes.push((run, 0));
+            return u32::try_from(self.nodes.len()).expect("run pool exceeds u32");
+        }
+        let n = self.free;
+        self.free = self.nodes[n as usize - 1].1;
+        self.nodes[n as usize - 1] = (run, 0);
+        n
+    }
+
+    #[inline]
+    fn release(&mut self, n: u32) {
+        self.nodes[n as usize - 1].1 = self.free;
+        self.free = n;
+    }
+}
+
 /// Sets bit `j` of a multi-word bitmask.
 #[inline]
 fn set_bit(mask: &mut [u64], j: usize) {
@@ -1722,19 +2093,30 @@ fn clear_bit(mask: &mut [u64], j: usize) {
 /// lowest set bit: the cyclic order of a linear scan beginning at `start`.
 #[inline]
 fn first_set_from(mask: &[u64], start: usize) -> Option<usize> {
-    let (sw, sb) = (start / 64, start % 64);
-    let high = mask[sw] & (u64::MAX << sb);
-    if high != 0 {
-        return Some(sw * 64 + high.trailing_zeros() as usize);
+    let word = |w: usize| mask[w];
+    next_set(word, start, mask.len() * 64).or_else(|| next_set(word, 0, start))
+}
+
+/// The lowest set bit in `from..to` of the multi-word bitmask whose word
+/// `w` is `word(w)`.
+#[inline]
+fn next_set(word: impl Fn(usize) -> u64, from: usize, to: usize) -> Option<usize> {
+    if from >= to {
+        return None;
     }
-    // Later words, then wrap to the start of the mask; the starting word's
-    // bits at or above `start` are known clear, so revisiting it finds only
-    // the ones below.
-    let order = (sw + 1..mask.len()).chain(0..=sw);
-    order
-        .into_iter()
-        .find(|&w| mask[w] != 0)
-        .map(|w| w * 64 + mask[w].trailing_zeros() as usize)
+    let mut w = from / 64;
+    let mut bits = word(w) & (u64::MAX << (from % 64));
+    loop {
+        if bits != 0 {
+            let j = w * 64 + bits.trailing_zeros() as usize;
+            return (j < to).then_some(j);
+        }
+        w += 1;
+        if w * 64 >= to {
+            return None;
+        }
+        bits = word(w);
+    }
 }
 
 /// Sentinel in the `neighbors`/`upstream` tables for an absent link.
@@ -1762,6 +2144,7 @@ pub(crate) fn link_to_port(dim: u32, direction: Direction) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::DetRng;
 
     fn fabric() -> Fabric<u32> {
         Fabric::new(Torus::new(2, 8), FabricConfig::default())
@@ -1769,9 +2152,10 @@ mod tests {
 
     #[test]
     fn first_set_from_matches_a_cyclic_scan() {
-        // Single- and multi-word masks, every start position: the search
-        // must return what a linear scan from `start`, modulo the list
-        // length, finds first.
+        // Single- and multi-word masks, every start position: the cyclic
+        // search must return what a linear scan from `start`, modulo the
+        // list length, finds first, and the bounded search what a scan
+        // of `start..end` finds.
         for len in [9usize, 64, 73, 130] {
             let words = len.div_ceil(64);
             for pattern in 0..40u64 {
@@ -1790,8 +2174,141 @@ mod tests {
                         scan,
                         "len {len} start {start}"
                     );
+                    for end in start..=len {
+                        let scan = (start..end).find(|&j| mask[j / 64] >> (j % 64) & 1 == 1);
+                        assert_eq!(
+                            next_set(|w| mask[w], start, end),
+                            scan,
+                            "len {len} {start}..{end}"
+                        );
+                    }
                 }
             }
+        }
+    }
+
+    /// The flits of one drawn worm, in push order. Lengths cover
+    /// single-flit `HeadTail` messages, the 8- and 24-flit worms of the
+    /// memory protocol and odd sizes; slots are drawn from a small range
+    /// so unrelated messages share them. Some worms reuse the previous
+    /// message id under a different slot (a worm re-pointed at another
+    /// slab, as across a stale crossing entry), some under the same slot,
+    /// some switch slot partway, some arrive without their head (a worm
+    /// whose head already left the buffer) and some without their tail,
+    /// so a head can follow an open run of its own message and slot.
+    fn drawn_worm(rng: &mut DetRng, last: &mut (u64, u32)) -> Vec<Flit> {
+        let length = match rng.index(5) {
+            0 => 1,
+            1 => 8,
+            2 => 24,
+            _ => 2 + rng.index(30) as u32,
+        };
+        let message = match rng.index(6) {
+            0 => last.0,
+            _ => last.0 + 1,
+        };
+        let mut slot = match rng.index(3) {
+            0 if message == last.0 => last.1 ^ 1,
+            _ => rng.index(4) as u32,
+        };
+        *last = (message, slot);
+        let headless = u32::from(length > 1 && rng.chance(0.1));
+        let tailless = u32::from(length > 1 && rng.chance(0.1));
+        let resloted = rng.chance(0.1).then(|| rng.index(length as usize) as u32);
+        let mut flits = Vec::new();
+        for index in headless..length - tailless {
+            if resloted == Some(index) {
+                slot ^= 2;
+            }
+            let kind = Message::new(NodeId(0), NodeId(1), length, ()).flit_kind(index);
+            flits.push(Flit {
+                message: MessageId(message),
+                kind,
+                slot,
+            });
+        }
+        flits
+    }
+
+    /// Asserts the worm FIFO and a plain flit deque agree on everything
+    /// a caller can observe.
+    fn assert_same(fifo: &WormFifo, pool: &RunPool, model: &VecDeque<Flit>) {
+        assert_eq!(fifo.front(), model.front().copied());
+        assert_eq!(fifo.len(pool), model.len());
+        assert_eq!(fifo.is_empty(), model.is_empty());
+    }
+
+    #[test]
+    fn worm_fifo_matches_a_flit_deque() {
+        for seed in 0..300 {
+            let mut rng = DetRng::new(seed);
+            // Three VCs share one run pool, so freed runs are reused
+            // across them.
+            let mut pool = RunPool::default();
+            let mut fifos = [WormFifo::default(); 3];
+            let mut models: [VecDeque<Flit>; 3] = Default::default();
+            let mut incoming: [VecDeque<Flit>; 3] = Default::default();
+            let mut last = [(0, 0); 3];
+            // Bias toward pushes on some seeds (deep buffers holding many
+            // runs) and toward pops on others (mostly empty buffers).
+            let push_odds = 0.3 + 0.4 * rng.next_f64();
+            for _ in 0..3_000 {
+                let v = rng.index(3);
+                let (fifo, model) = (&mut fifos[v], &mut models[v]);
+                while incoming[v].is_empty() {
+                    incoming[v].extend(drawn_worm(&mut rng, &mut last[v]));
+                }
+                if rng.chance(push_odds) {
+                    let flit = incoming[v].pop_front().unwrap();
+                    fifo.push_back(&mut pool, flit);
+                    model.push_back(flit);
+                } else {
+                    let popped = fifo.pop_front(&mut pool);
+                    assert_eq!(popped, model.pop_front(), "seed {seed}");
+                }
+                assert_same(fifo, &pool, model);
+            }
+            for (fifo, model) in fifos.iter_mut().zip(&mut models) {
+                while !model.is_empty() {
+                    let popped = fifo.pop_front(&mut pool);
+                    assert_eq!(popped, model.pop_front(), "seed {seed}");
+                    assert_same(fifo, &pool, model);
+                }
+                assert_eq!(fifo.pop_front(&mut pool), None);
+            }
+        }
+    }
+
+    #[test]
+    fn worm_fifo_splits_runs_longer_than_its_count_field() {
+        // `check_router_shape` admits buffers far deeper than a run's
+        // `u16` count: a worm that long is stored as several runs.
+        let length = u32::from(u16::MAX) + 10;
+        let mut pool = RunPool::default();
+        let (mut fifo, mut model) = (WormFifo::default(), VecDeque::new());
+        let message = Message::new(NodeId(0), NodeId(1), length, ());
+        let flits = (0..length).map(|index| Flit {
+            message: MessageId(7),
+            kind: message.flit_kind(index),
+            slot: 3,
+        });
+        for flit in flits.chain([Flit {
+            message: MessageId(8),
+            kind: FlitKind::HeadTail,
+            slot: 3,
+        }]) {
+            fifo.push_back(&mut pool, flit);
+            model.push_back(flit);
+        }
+        assert_eq!(
+            pool.nodes.len(),
+            2,
+            "one full run, then the rest, then the next message"
+        );
+        assert_same(&fifo, &pool, &model);
+        while !model.is_empty() {
+            assert_eq!(fifo.pop_front(&mut pool), model.pop_front());
+            assert_same(&fifo, &pool, &model);
         }
     }
 
@@ -2211,6 +2728,10 @@ mod shard_tests {
             for item in items.drain(..) {
                 let s = owner(&shards, item.dst_node());
                 shards[s].ingest_boundary(item);
+            }
+            mono.assert_masks_consistent();
+            for f in &shards {
+                f.assert_masks_consistent();
             }
             assert!(mono.cycle() < 500_000, "traffic did not drain");
         }

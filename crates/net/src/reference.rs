@@ -671,8 +671,10 @@ mod equivalence_tests {
         });
     }
 
-    /// 6 ports x 12 VCs + injection = 73 input VCs: the unrouted and
-    /// requester masks span two words, so round-robin wraps across them.
+    /// 6 ports x 12 VCs + injection = 73 input VCs: the unrouted,
+    /// requester and allocation masks span two words, so round-robin
+    /// wraps across them, and the last port's VCs and the ejection VC
+    /// are switch-allocated from the second word.
     #[test]
     fn matches_reference_with_more_than_64_input_vcs() {
         lockstep(FuzzScenario {

@@ -47,6 +47,15 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
+/// Most network cycles (`warmup + window`) one scenario of a request may
+/// run — minutes on the paper's 8x8 machine. Longer requests get an
+/// `error` event instead of holding the daemon.
+const MAX_SERVE_CYCLES: u64 = 10_000_000;
+
+/// Longest request line the daemon reads, in bytes. A longer line is
+/// discarded through its newline and answered with one `error` event.
+const MAX_REQUEST_BYTES: usize = 64 * 1024;
+
 /// Default bound on stored results.
 const DEFAULT_CACHE_CAPACITY: usize = 256;
 /// Default bound on stored warm-start snapshots (each holds a whole
@@ -596,6 +605,22 @@ const REQUEST_KEYS: &[&str] = &[
     "stall_window",
 ];
 
+/// Checks a request's cycle budget: `warmup + window` must not overflow
+/// or exceed [`MAX_SERVE_CYCLES`].
+fn check_cycle_budget(warmup: u64, window: u64) -> Result<(), ConfigError> {
+    let reason = match warmup.checked_add(window) {
+        Some(total) if total <= MAX_SERVE_CYCLES => return Ok(()),
+        Some(total) => format!(
+            "warmup + window = {total} cycles exceeds the serve budget of {MAX_SERVE_CYCLES}"
+        ),
+        None => format!("warmup {warmup} + window {window} overflows"),
+    };
+    Err(ConfigError {
+        field: "window",
+        reason,
+    })
+}
+
 /// A request integer narrowed into its config field's type.
 fn narrowed<T: TryFrom<u64>>(field: &'static str, value: Result<u64, String>) -> Result<T, String> {
     ConfigError::narrow(field, value?).map_err(|e| e.to_string())
@@ -692,13 +717,16 @@ fn parse_request(line: &str) -> Result<Request, String> {
             mappings.push(item.as_string().map_err(|e| format!("mappings: {e}"))?);
         }
     }
+    let warmup = u64_field("warmup", REDUCED_WARMUP)?;
+    let window = u64_field("window", REDUCED_WINDOW)?;
+    check_cycle_budget(warmup, window).map_err(|e| e.to_string())?;
     Ok(Request {
         op,
         id,
         config,
         seed: u64_field("seed", SUITE_SEED)?,
-        warmup: u64_field("warmup", REDUCED_WARMUP)?,
-        window: u64_field("window", REDUCED_WINDOW)?,
+        warmup,
+        window,
         mappings,
     })
 }
@@ -899,24 +927,70 @@ fn handle_request<W: Write + Send>(
     }
 }
 
+/// Reads the next line of `reader` into `line` (without its newline),
+/// keeping at most [`MAX_REQUEST_BYTES`] bytes: the rest of a longer
+/// line is read and dropped. Returns the line's full length, or `None` at
+/// end of input.
+fn read_bounded_line<R: BufRead>(
+    reader: &mut R,
+    line: &mut Vec<u8>,
+) -> std::io::Result<Option<usize>> {
+    line.clear();
+    let mut length = 0;
+    loop {
+        let available = reader.fill_buf()?;
+        if available.is_empty() {
+            return Ok((length > 0).then_some(length));
+        }
+        let (chunk, used, done) = match available.iter().position(|&b| b == b'\n') {
+            Some(end) => (&available[..end], end + 1, true),
+            None => (available, available.len(), false),
+        };
+        let room = MAX_REQUEST_BYTES.saturating_sub(line.len());
+        line.extend_from_slice(&chunk[..chunk.len().min(room)]);
+        length += chunk.len();
+        reader.consume(used);
+        if done {
+            return Ok(Some(length));
+        }
+    }
+}
+
 /// Serves JSON-lines requests from `reader`, streaming events to
 /// `writer`, until EOF or a `shutdown` request. `Ok(false)` = shutdown
 /// was requested (listeners stop accepting), `Ok(true)` = plain EOF.
 fn handle_stream<R: BufRead, W: Write + Send>(
-    reader: R,
+    mut reader: R,
     writer: W,
     jobs: usize,
     cache: &Mutex<ScenarioCache>,
 ) -> Result<bool, String> {
     let writer = Mutex::new(writer);
-    for line in reader.lines() {
-        let line = line.map_err(|e| format!("read: {e}"))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        if !handle_request(line.trim(), &writer, jobs, cache)? {
-            return Ok(false);
-        }
+    let mut bytes = Vec::new();
+    while let Some(length) =
+        read_bounded_line(&mut reader, &mut bytes).map_err(|e| format!("read: {e}"))?
+    {
+        let problem = if length > MAX_REQUEST_BYTES {
+            format!("request line of {length} bytes exceeds the limit of {MAX_REQUEST_BYTES}")
+        } else {
+            match std::str::from_utf8(&bytes) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => {
+                    if !handle_request(line.trim(), &writer, jobs, cache)? {
+                        return Ok(false);
+                    }
+                    continue;
+                }
+                Err(e) => format!("request line is not UTF-8: {e}"),
+            }
+        };
+        emit(
+            &writer,
+            &format!(
+                "{{\"event\":\"error\",\"message\":{}}}",
+                json_string(&problem)
+            ),
+        )?;
     }
     Ok(true)
 }
@@ -1309,6 +1383,58 @@ mod tests {
             "{err}"
         );
         assert!(parse_request(r#"{"op":"run","work":4294967296}"#).is_err());
+    }
+
+    #[test]
+    fn cycle_budgets_are_error_events_not_hangs() {
+        // `window` alone is a valid u64, but the run would never end;
+        // with the default warmup it also overflows.
+        for request in [
+            r#"{"op":"run","mapping":"identity","window":18446744073709551615}"#,
+            r#"{"op":"run","mapping":"identity","warmup":0,"window":10000001}"#,
+            r#"{"op":"sweep","warmup":9000000,"window":2000000}"#,
+        ] {
+            let err = rejected_request(request);
+            assert!(err.contains("window"), "error must name the field: {err}");
+        }
+        assert!(check_cycle_budget(u64::MAX, 1).is_err());
+        assert!(check_cycle_budget(0, MAX_SERVE_CYCLES).is_ok());
+    }
+
+    #[test]
+    fn oversized_request_lines_are_error_events() {
+        // The line is read through its newline but not kept; the daemon
+        // answers it once and serves the next request.
+        let padding = "x".repeat(MAX_REQUEST_BYTES);
+        let err = rejected_request(&format!(r#"{{"op":"stats","id":"{padding}"}}"#));
+        assert!(err.contains("exceeds the limit"), "{err}");
+        let err = rejected_request(&"y".repeat(3 * MAX_REQUEST_BYTES + 7));
+        assert!(
+            err.contains(&(3 * MAX_REQUEST_BYTES + 7).to_string()),
+            "{err}"
+        );
+        // Invalid UTF-8 is an error event too, not a dropped connection.
+        let cache = Mutex::new(ScenarioCache::new(4, 2));
+        let mut output = Vec::new();
+        let input = b"{\"op\":\"st\xffats\"}\n{\"op\":\"stats\"}\n";
+        handle_stream(&input[..], &mut output, 1, &cache).unwrap();
+        let text = String::from_utf8(output).unwrap();
+        assert_eq!(text.matches("\"event\":\"error\"").count(), 1, "{text}");
+        assert!(text.contains("\"event\":\"stats\""), "{text}");
+    }
+
+    #[test]
+    fn bounded_lines_match_line_splitting() {
+        let text = "a\r\n\nbc\n  \nlast";
+        let mut reader = text.as_bytes();
+        let mut line = Vec::new();
+        let mut got = Vec::new();
+        while let Some(length) = read_bounded_line(&mut reader, &mut line).unwrap() {
+            assert_eq!(length, line.len());
+            got.push(String::from_utf8(line.clone()).unwrap());
+        }
+        let expected: Vec<String> = text.split('\n').map(str::to_owned).collect();
+        assert_eq!(got, expected);
     }
 
     #[test]
